@@ -1,11 +1,13 @@
-"""Capture golden best-fitness trajectories for the independent problem.
+"""Capture golden best-fitness trajectories for every registered problem.
 
-Run BEFORE and AFTER a refactor; the committed JSON pins every
-deterministic engine's trajectory (history rows, final best, and a
-checksum of the final population) so a refactor provably adds zero
-behavioral drift.  Usage::
+Run BEFORE and AFTER a refactor; each committed JSON pins every
+deterministic engine's trajectory on one problem (history rows, final
+best, and a checksum of the final population) so a refactor provably
+adds zero behavioral drift.  Usage::
 
-    PYTHONPATH=src python tests/golden_capture.py [--check]
+    PYTHONPATH=src python tests/golden_capture.py [--check] [PROBLEM ...]
+
+With no problem names every golden file is captured (or checked).
 """
 
 from __future__ import annotations
@@ -14,31 +16,60 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.cga import CGAConfig, StopCondition
 from repro.etc import make_instance
+from repro.problems.flowshop import load_flowshop_instance
 from repro.runtime.registry import create_engine
 
-OUT = Path(__file__).parent / "data" / "golden_independent.json"
-
-#: (engine, n_threads, extra kwargs) — deterministic configurations only.
-ENGINES = [
-    ("async", 1, {}),
-    ("sync", 1, {}),
-    ("vectorized", 1, {}),
-    ("sim", 3, {}),
-    ("threads", 2, {"lockstep": True}),
-    ("shm", 2, {"lockstep": True}),
-]
+DATA = Path(__file__).parent / "data"
 
 
-def capture() -> dict:
-    inst = make_instance(64, 8, consistency="i", seed=1)
+class Golden(NamedTuple):
+    """One problem's golden file, instance and engine set."""
+
+    out: Path
+    instance: Callable[[], object]
+    #: (engine, n_threads, extra kwargs) — deterministic configurations only.
+    engines: list
+
+
+GOLDENS = {
+    "independent": Golden(
+        out=DATA / "golden_independent.json",
+        instance=lambda: make_instance(64, 8, consistency="i", seed=1),
+        engines=[
+            ("async", 1, {}),
+            ("sync", 1, {}),
+            ("vectorized", 1, {}),
+            ("sim", 3, {}),
+            ("threads", 2, {"lockstep": True}),
+            ("shm", 2, {"lockstep": True}),
+        ],
+    ),
+    "flowshop": Golden(
+        out=DATA / "golden_flowshop.json",
+        instance=lambda: load_flowshop_instance("fs20x5.0"),
+        engines=[
+            ("vectorized", 1, {}),
+            ("sync", 1, {}),
+            ("shm", 2, {"lockstep": True}),
+        ],
+    ),
+}
+
+
+def capture(problem: str = "independent") -> dict:
+    golden = GOLDENS[problem]
+    inst = golden.instance()
     rows = {}
-    for name, n_threads, extras in ENGINES:
-        config = CGAConfig(grid_rows=8, grid_cols=8, ls_iterations=5, n_threads=n_threads)
+    for name, n_threads, extras in golden.engines:
+        config = CGAConfig(
+            problem=problem, grid_rows=8, grid_cols=8, ls_iterations=5, n_threads=n_threads
+        )
         engine = create_engine(name, inst, config, seed=7, **extras)
         result = engine.run(StopCondition(max_evaluations=1280))
         pop = engine.pop
@@ -55,21 +86,26 @@ def capture() -> dict:
     return rows
 
 
-def main() -> int:
-    rows = capture()
-    if "--check" in sys.argv:
-        golden = json.loads(OUT.read_text())
-        ok = True
-        for key, row in rows.items():
-            if golden.get(key) != row:
-                ok = False
-                print(f"DRIFT in {key}:\n  golden: {golden.get(key)}\n  now:    {row}")
+def main(argv: list[str]) -> int:
+    check = "--check" in argv
+    problems = [a for a in argv if not a.startswith("--")] or list(GOLDENS)
+    ok = True
+    for problem in problems:
+        out = GOLDENS[problem].out
+        rows = capture(problem)
+        if check:
+            golden = json.loads(out.read_text())
+            for key, row in rows.items():
+                if golden.get(key) != row:
+                    ok = False
+                    print(f"DRIFT in {problem} {key}:\n  golden: {golden.get(key)}\n  now:    {row}")
+        else:
+            out.write_text(json.dumps(rows, indent=2) + "\n")
+            print(f"captured {len(rows)} {problem} engine trajectories -> {out}")
+    if check:
         print("golden check:", "ok" if ok else "FAILED")
-        return 0 if ok else 1
-    OUT.write_text(json.dumps(rows, indent=2) + "\n")
-    print(f"captured {len(rows)} engine trajectories -> {OUT}")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,29 +1,32 @@
-"""Golden-seed trajectory equivalence for the problems-layer refactor.
+"""Golden-seed trajectory equivalence for every registered problem.
 
-``tests/data/golden_independent.json`` pins the pre-refactor
-best-fitness trajectory (history rows, final best, population digest)
-of every deterministic engine on the independent workload.  This test
-replays the same seeds through the refactored problem-dispatch path
-and demands bit-identical results — the refactor's "zero behavioral
-drift" acceptance gate.  Regenerate the file with::
+``tests/data/golden_<problem>.json`` pins the best-fitness trajectory
+(history rows, final best, population digest) of the deterministic
+engines on each workload: ``golden_independent.json`` from before the
+problems-layer refactor, ``golden_flowshop.json`` from before the
+anti-diagonal flow-shop DP.  This test replays the same seeds and
+demands bit-identical results — the "zero behavioral drift" acceptance
+gate for any refactor or kernel rewrite.  Regenerate with::
 
-    PYTHONPATH=src python tests/golden_capture.py
+    PYTHONPATH=src python tests/golden_capture.py [PROBLEM ...]
 """
 
 import json
 
-from tests.golden_capture import ENGINES, OUT, capture
+from tests.golden_capture import GOLDENS, capture
 
 
 def test_trajectories_match_golden_seeds():
-    golden = json.loads(OUT.read_text())
-    rows = capture()
-    assert set(rows) == set(golden), "engine set drifted from the capture file"
-    for key, row in rows.items():
-        assert row == golden[key], f"trajectory drift in {key}"
+    for problem, golden_spec in GOLDENS.items():
+        golden = json.loads(golden_spec.out.read_text())
+        rows = capture(problem)
+        assert set(rows) == set(golden), f"{problem}: engine set drifted from the capture file"
+        for key, row in rows.items():
+            assert row == golden[key], f"{problem}: trajectory drift in {key}"
 
 
 def test_golden_file_covers_every_deterministic_engine():
-    golden = json.loads(OUT.read_text())
-    expected = {f"{name}({n})" for name, n, _ in ENGINES}
-    assert set(golden) == expected
+    for golden_spec in GOLDENS.values():
+        golden = json.loads(golden_spec.out.read_text())
+        expected = {f"{name}({n})" for name, n, _ in golden_spec.engines}
+        assert set(golden) == expected
