@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.cga.fitness import makespan_fitness
 from repro.cga.local_search import _publish
@@ -233,25 +234,43 @@ def flowshop_ct(instance: FlowShopInstance, s: np.ndarray) -> np.ndarray:
     return np.asarray(c, dtype=np.float64)
 
 
+def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
+    """Completion-time table of every row of ``R``, one anti-diagonal per step.
+
+    ``pT`` is the ``(m, njobs)`` time matrix, ``R`` a ``(P, N)`` job matrix,
+    ``lead`` zero-time jobs are prepended.  ``V[i + k, k]`` of the returned
+    ``(lead + N + m - 1, m, P)`` table is position ``i``'s completion on
+    machine ``k``.  A diagonal's cells are independent and contiguous, and
+    ``V[d, 1:] += max(V[d-1, 1:], V[d-1, :-1])`` gives each the same
+    ``max``-then-``+`` on the same operands as a cell-by-cell sweep, so the
+    table is bit-identical to it for any float times.
+    """
+    m = pT.shape[0]
+    P, N = R.shape
+    V = np.zeros((lead + N + m - 1, m, P), dtype=np.float64)
+    d, k, r = V.strides
+    cells = as_strided(V[lead], (m, N, P), (d + k, d, r))  # (k, i) -> V[i + k, k]
+    # ids are in range by construction; "wrap" skips mode="raise"'s buffer copy
+    np.take(pT, R.T, axis=1, out=cells, mode="wrap")
+    np.cumsum(V[:, 0], axis=0, out=V[:, 0])
+    step = np.empty((m - 1, P), dtype=np.float64)
+    for prev, cur in zip(V[:-1], V[1:]):
+        np.maximum(prev[1:], prev[:-1], out=step)
+        cur[1:] += step
+    return V
+
+
 def batch_flowshop_ct(instance: FlowShopInstance, S: np.ndarray) -> np.ndarray:
     """CT rows for a whole ``(P, njobs)`` permutation matrix.
 
-    Loops over the n·m DP cells with every operation vectorized across
-    the population — the flow-shop analog of the independent problem's
-    scatter-add population evaluation.
+    The DP table is evaluated by anti-diagonals (:func:`_dp_table`) in
+    ``n + m - 1`` vector steps over the whole population, bit-identical
+    to the cell-by-cell recurrence of :func:`flowshop_ct`.
     """
-    p = instance.p
     S = np.asarray(S)
-    P, n = S.shape
-    m = p.shape[1]
-    C = np.zeros((P, m), dtype=np.float64)
-    for t in range(n):
-        pj = p[S[:, t]]
-        C[:, 0] += pj[:, 0]
-        for k in range(1, m):
-            np.maximum(C[:, k], C[:, k - 1], out=C[:, k])
-            C[:, k] += pj[:, k]
-    return C
+    k = np.arange(instance.nmachines)
+    V = _dp_table(np.ascontiguousarray(instance.p.T), S, 0)
+    return np.ascontiguousarray(V[k + S.shape[1] - 1, k].T)
 
 
 def check_permutation(instance: FlowShopInstance, s: np.ndarray) -> None:
@@ -290,37 +309,26 @@ def insertion_makespans(
     completion times), tails ``q`` (time from each suffix's start to
     the end), and the inserted job's own completion ``f`` give the
     makespan at position ``i`` as ``max_k(f[i, k] + q[i, k])`` — all
-    n + 1 insertions in one O(n·m) pass instead of n DP sweeps.
+    n + 1 insertions in one O(n·m) pass instead of n DP sweeps.  ``e`` and
+    ``q`` share one anti-diagonal table (:func:`_dp_table`) and ``f`` folds
+    into a running max over machines: bit-identical to a cell-by-cell pass.
     """
-    p = instance.p
     R = np.asarray(R)
     P, L = R.shape
-    m = p.shape[1]
-    e = np.zeros((P, L + 1, m), dtype=np.float64)
-    for i in range(1, L + 1):
-        pj = p[R[:, i - 1]]
-        prev = e[:, i - 1]
-        cur = e[:, i]
-        cur[:, 0] = prev[:, 0] + pj[:, 0]
-        for k in range(1, m):
-            np.maximum(cur[:, k - 1], prev[:, k], out=cur[:, k])
-            cur[:, k] += pj[:, k]
-    q = np.zeros((P, L + 1, m), dtype=np.float64)
-    for i in range(L - 1, -1, -1):
-        pj = p[R[:, i]]
-        nxt = q[:, i + 1]
-        cur = q[:, i]
-        cur[:, m - 1] = nxt[:, m - 1] + pj[:, m - 1]
-        for k in range(m - 2, -1, -1):
-            np.maximum(cur[:, k + 1], nxt[:, k], out=cur[:, k])
-            cur[:, k] += pj[:, k]
-    pj = p[jobs][:, None, :]
-    f = np.empty((P, L + 1, m), dtype=np.float64)
-    f[:, :, 0] = e[:, :, 0] + pj[:, :, 0]
-    for k in range(1, m):
-        np.maximum(f[:, :, k - 1], e[:, :, k], out=f[:, :, k])
-        f[:, :, k] += pj[:, :, k]
-    return (f + q).max(axis=2)
+    pT = np.ascontiguousarray(instance.p.T)
+    m, n = pT.shape
+    # one table holds both: columns P: run on the reversed input
+    eq = _dp_table(np.hstack([pT, pT[::-1]]), np.vstack([R, R[:, ::-1] + n]), 1)
+    e, q = eq[..., :P], eq[..., P:]
+    pj = pT[:, jobs]
+    # times are positive, so starting f and the max at zero is exact
+    f, ms = np.zeros((2, L + 1, P))
+    for k in range(m):
+        np.maximum(f, e[k : k + L + 1, k], out=f)
+        f += pj[k]
+        r = m - 1 - k  # q holds machine k of position i at [r + L - i, r]
+        np.maximum(ms, f + q[r : r + L + 1, r][::-1], out=ms)
+    return ms.T
 
 
 def _delete_positions(S: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -384,8 +392,6 @@ def _ox_fill(p1: np.ndarray, p2: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def fs_one_point(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """opx analog: p2's suffix jobs keep their places, prefix refilled."""
     n = p1.shape[0]
-    if n < 2:
-        return p1.copy()
     cut = int(rng.integers(1, n))
     return _ox_fill(p1, p2, np.arange(n) >= cut)
 
@@ -393,8 +399,6 @@ def fs_one_point(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np
 def fs_two_point(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """tpx analog: p2's jobs inside a random window keep their places."""
     n = p1.shape[0]
-    if n < 2:
-        return p1.copy()
     cuts = rng.integers(0, n + 1, size=2)
     a, b = (int(cuts.min()), int(cuts.max()))
     cols = np.arange(n)
@@ -542,11 +546,7 @@ def fs_batch_swap_mutation(s, ct, instance, rng, active) -> None:
     r = np.flatnonzero(active)
     if r.size == 0:
         return
-    rows = r
-    ar, br = a[r], b[r]
-    va, vb = s[rows, ar].copy(), s[rows, br].copy()
-    s[rows, ar] = vb
-    s[rows, br] = va
+    s[r, a[r]], s[r, b[r]] = s[r, b[r]], s[r, a[r]]
     ct[r] = batch_flowshop_ct(instance, s[r])
 
 
@@ -560,8 +560,6 @@ def fs_batch_insertion_ls(s, ct, instance, rng, iterations: int = 5, n_candidate
     if iterations <= 0:
         return 0
     P, n = s.shape
-    if n < 2:
-        return 0
     rows = np.arange(P)
     moves = 0
     for _ in range(iterations):

@@ -35,6 +35,113 @@ def _brute_ct(p, s):
     return c[-1]
 
 
+def _ref_batch_ct(p, S):
+    """Cell-by-cell population DP: one vector op per (position, machine)."""
+    P, n = S.shape
+    m = p.shape[1]
+    C = np.zeros((P, m), dtype=np.float64)
+    for t in range(n):
+        pj = p[S[:, t]]
+        C[:, 0] += pj[:, 0]
+        for k in range(1, m):
+            np.maximum(C[:, k], C[:, k - 1], out=C[:, k])
+            C[:, k] += pj[:, k]
+    return C
+
+
+def _ref_insertion_makespans(p, R, jobs):
+    """Cell-by-cell Taillard pass with explicit e, q and f tables."""
+    P, L = R.shape
+    m = p.shape[1]
+    e = np.zeros((P, L + 1, m), dtype=np.float64)
+    for i in range(1, L + 1):
+        pj = p[R[:, i - 1]]
+        prev = e[:, i - 1]
+        cur = e[:, i]
+        cur[:, 0] = prev[:, 0] + pj[:, 0]
+        for k in range(1, m):
+            np.maximum(cur[:, k - 1], prev[:, k], out=cur[:, k])
+            cur[:, k] += pj[:, k]
+    q = np.zeros((P, L + 1, m), dtype=np.float64)
+    for i in range(L - 1, -1, -1):
+        pj = p[R[:, i]]
+        nxt = q[:, i + 1]
+        cur = q[:, i]
+        cur[:, m - 1] = nxt[:, m - 1] + pj[:, m - 1]
+        for k in range(m - 2, -1, -1):
+            np.maximum(cur[:, k + 1], nxt[:, k], out=cur[:, k])
+            cur[:, k] += pj[:, k]
+    pj = p[jobs][:, None, :]
+    f = np.empty((P, L + 1, m), dtype=np.float64)
+    f[:, :, 0] = e[:, :, 0] + pj[:, :, 0]
+    for k in range(1, m):
+        np.maximum(f[:, :, k - 1], e[:, :, k], out=f[:, :, k])
+        f[:, :, k] += pj[:, :, k]
+    return (f + q).max(axis=2)
+
+
+def _ref_neh_order(p):
+    """NEH over the cell-by-cell insertion reference."""
+    order = np.argsort(-p.sum(axis=1), kind="stable")
+    seq = np.asarray([order[0]], dtype=np.int32)
+    for job in order[1:]:
+        ms = _ref_insertion_makespans(p, seq[None, :], np.asarray([job]))[0]
+        seq = np.insert(seq, int(ms.argmin()), np.int32(job))
+    return seq
+
+
+#: (njobs, nmachines, integer times) — covers m=1 (a diagonal with no
+#: machine >= 1) and n=2 (insertion into a single-job sequence, L=1).
+KERNEL_SHAPES = [
+    (9, 4, True),
+    (9, 4, False),
+    (7, 1, True),
+    (7, 1, False),
+    (2, 3, True),
+    (2, 3, False),
+    (2, 1, False),
+    (30, 12, False),
+]
+
+
+def _kernel_instance(n, m, integer, seed=0):
+    if integer:
+        return make_flowshop(n, m, seed=seed)
+    rng = np.random.default_rng(seed)
+    # log-uniform times spanning 4 decades make every sum round
+    return FlowShopInstance(np.exp(rng.uniform(-4.0, 5.0, size=(n, m))), name="float")
+
+
+class TestAntiDiagonalKernel:
+    """The wavefront DP is bit-identical to the cell-by-cell sweeps."""
+
+    @pytest.mark.parametrize("P", [1, 6])
+    @pytest.mark.parametrize("n,m,integer", KERNEL_SHAPES)
+    def test_batch_ct_exact(self, n, m, integer, P, rng):
+        inst = _kernel_instance(n, m, integer)
+        S = np.stack([rng.permutation(n).astype(np.int32) for _ in range(P)])
+        CT = batch_flowshop_ct(inst, S)
+        assert CT.shape == (P, m)
+        assert np.array_equal(CT, _ref_batch_ct(inst.p, S))
+        for r in range(P):
+            assert np.array_equal(CT[r], flowshop_ct(inst, S[r]))
+
+    @pytest.mark.parametrize("P", [1, 6])
+    @pytest.mark.parametrize("n,m,integer", KERNEL_SHAPES)
+    def test_insertion_makespans_exact(self, n, m, integer, P, rng):
+        inst = _kernel_instance(n, m, integer)
+        S = np.stack([rng.permutation(n).astype(np.int32) for _ in range(P)])
+        R, jobs = S[:, 1:], S[:, 0]
+        ms = insertion_makespans(inst, R, jobs)
+        assert ms.shape == (P, n)
+        assert np.array_equal(ms, _ref_insertion_makespans(inst.p, R, jobs))
+
+    @pytest.mark.parametrize("n,m,integer", KERNEL_SHAPES)
+    def test_neh_order_exact(self, n, m, integer):
+        inst = _kernel_instance(n, m, integer, seed=3)
+        assert np.array_equal(neh_order(inst), _ref_neh_order(inst.p))
+
+
 class TestEvaluation:
     def test_scalar_dp_matches_reference(self, inst, rng):
         for _ in range(30):
