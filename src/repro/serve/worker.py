@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,9 +51,9 @@ class DrainInterrupt(BaseException):
 def _resolve_instance(problem, instance_spec, spool: Path, cache):
     """Load the job's instance through the problem's loader, cached.
 
-    Inline payloads are spooled to a content-addressed file first, so
-    identical payloads share one cache entry and a resumed job can
-    rebuild its instance after a restart.
+    Inline payloads are spooled (private temp, atomic replace) to a
+    content-addressed file first, so identical payloads share one cache
+    entry and a resumed job can rebuild its instance after a restart.
     """
     if isinstance(instance_spec, str):
         key = (problem.name, instance_spec)
@@ -61,8 +62,9 @@ def _resolve_instance(problem, instance_spec, spool: Path, cache):
     path = spool / "instances" / f"{instance_spec['name']}-{digest}.inst"
     if not path.is_file():
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(instance_spec["content"], encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(instance_spec["content"])
         os.replace(tmp, path)
     key = (problem.name, digest)
     return cache.get_or_load(key, lambda: problem.load_instance(str(path)))

@@ -66,6 +66,54 @@ class TestLRUCache:
         assert cache.stats() == {"capacity": 4, "size": 1, "hits": 2, "misses": 1}
 
 
+class TestInlineInstanceSpool:
+    def test_concurrent_writers_of_one_new_payload(self, tmp_path, monkeypatch):
+        """Workers spooling the same new inline instance at once all succeed."""
+        import os
+        import threading
+
+        from repro.problems.flowshop import (
+            FLOWSHOP,
+            make_flowshop,
+            save_flowshop_instance,
+        )
+        from repro.serve import worker
+
+        inst = make_flowshop(6, 3, seed=4)
+        save_flowshop_instance(inst, tmp_path / "src.fsp")
+        spec = {"name": "inline", "content": (tmp_path / "src.fsp").read_text()}
+        spool = tmp_path / "spool"
+        writers = 3
+        # hold every writer between its write and its replace, so all
+        # have written before any publishes: the worst interleaving
+        gate = threading.Barrier(writers, timeout=10)
+        real_replace = os.replace
+
+        def gated_replace(src, dst):
+            gate.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(worker.os, "replace", gated_replace)
+        loaded, errors = [], []
+
+        def spool_it():
+            try:
+                loaded.append(
+                    worker._resolve_instance(FLOWSHOP, spec, spool, LRUCache(2))
+                )
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=spool_it) for _ in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert errors == []
+        assert len(loaded) == writers and all(x == inst for x in loaded)
+        assert [p.suffix for p in (spool / "instances").iterdir()] == [".inst"]
+
+
 class TestValidateJob:
     def test_defaults_fill_in(self):
         spec = validate_job({})
