@@ -234,6 +234,11 @@ def flowshop_ct(instance: FlowShopInstance, s: np.ndarray) -> np.ndarray:
     return np.asarray(c, dtype=np.float64)
 
 
+#: rows per batch_flowshop_ct table: caps its memory at a half population
+#: of the default 16x16 grid, where the per-row cost has levelled off
+_CT_BLOCK = 128
+
+
 def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     """Completion-time table of every row of ``R``, one anti-diagonal per step.
 
@@ -250,8 +255,8 @@ def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     V = np.zeros((lead + N + m - 1, m, P), dtype=np.float64)
     d, k, r = V.strides
     cells = as_strided(V[lead], (m, N, P), (d + k, d, r))  # (k, i) -> V[i + k, k]
-    # ids are in range by construction; "wrap" skips mode="raise"'s buffer copy
-    np.take(pT, R.T, axis=1, out=cells, mode="wrap")
+    for row, out in zip(pT, cells):  # per machine: a strided out is copied through
+        np.take(row, R.T, out=out)  # a temporary the size of out
     np.cumsum(V[:, 0], axis=0, out=V[:, 0])
     step = np.empty((m - 1, P), dtype=np.float64)
     for prev, cur in zip(V[:-1], V[1:]):
@@ -268,9 +273,13 @@ def batch_flowshop_ct(instance: FlowShopInstance, S: np.ndarray) -> np.ndarray:
     to the cell-by-cell recurrence of :func:`flowshop_ct`.
     """
     S = np.asarray(S)
-    k = np.arange(instance.nmachines)
-    V = _dp_table(np.ascontiguousarray(instance.p.T), S, 0)
-    return np.ascontiguousarray(V[k + S.shape[1] - 1, k].T)
+    P, n = S.shape
+    pT = np.ascontiguousarray(instance.p.T)
+    k = np.arange(pT.shape[0])
+    CT = np.empty((P, k.size))
+    for c in range(0, P, _CT_BLOCK):  # one block's table alive at a time
+        CT[c : c + _CT_BLOCK] = _dp_table(pT, S[c : c + _CT_BLOCK], 0)[k + n - 1, k].T
+    return CT
 
 
 def check_permutation(instance: FlowShopInstance, s: np.ndarray) -> None:
