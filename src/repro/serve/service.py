@@ -334,10 +334,13 @@ class SolveService:
                     self.store.update(job_id, state="parked", worker=None)
                     self._inc("serve.jobs.parked")
                 continue
-            if job_id is not None:
-                self._crashed(job_id, wid, exitcode)
+            # restart first: whoever sees the job's new state also sees
+            # the restart counted (nothing in restart touches the
+            # postmortem _crashed links)
             self.pool.restart(wid)
             self._inc("serve.workers.restarts")
+            if job_id is not None:
+                self._crashed(job_id, wid, exitcode)
 
     def _crashed(self, job_id: str, wid: int, exitcode: int) -> None:
         """Crash/stall handling: link postmortem, retry or fail."""

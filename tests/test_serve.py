@@ -407,6 +407,33 @@ class TestStallEscalation:
         finally:
             svc.stop()
 
+    def test_restart_is_counted_before_the_job_turns_failed(self, tmp_path):
+        # a slow fork must not open a window in which the job already
+        # reads failed but the restart is not yet counted
+        svc = SolveService(
+            tmp_path, workers=1, fault_injection=True,
+            max_retries=0, stall_deadline_s=0.75,
+        ).start()
+        restart = svc.pool.restart
+
+        def slow_restart(wid):
+            time.sleep(0.5)
+            restart(wid)
+
+        svc.pool.restart = slow_restart
+        try:
+            job = svc.submit(
+                dict(FAST_JOB, inject={"hang_after_generations": 2})
+            )
+            rec = _wait(
+                lambda: (r := svc.job(job["id"]))["state"] in ("done", "failed") and r,
+                every_s=0.01,
+            )
+            assert rec["state"] == "failed"
+            assert svc.metrics.counters.get("serve.workers.restarts") == 1
+        finally:
+            svc.stop()
+
     def test_stalled_job_retries_and_inflight_set_empties(self, tmp_path):
         # with retries left, a stall-kill must requeue the job; the hang
         # re-fires every attempt, so exhaustion ends in 'failed' with
