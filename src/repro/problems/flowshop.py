@@ -255,8 +255,8 @@ def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     V = np.zeros((lead + N + m - 1, m, P), dtype=np.float64)
     d, k, r = V.strides
     cells = as_strided(V[lead], (m, N, P), (d + k, d, r))  # (k, i) -> V[i + k, k]
-    for row, out in zip(pT, cells):  # per machine: a strided out is copied through
-        np.take(row, R.T, out=out)  # a temporary the size of out
+    for row, out in zip(pT, cells):  # take stages a strided out through a
+        np.take(row, R.T, out=out)  # temporary its size: keep it one machine
     np.cumsum(V[:, 0], axis=0, out=V[:, 0])
     step = np.empty((m - 1, P), dtype=np.float64)
     for prev, cur in zip(V[:-1], V[1:]):
@@ -269,8 +269,8 @@ def batch_flowshop_ct(instance: FlowShopInstance, S: np.ndarray) -> np.ndarray:
     """CT rows for a whole ``(P, njobs)`` permutation matrix.
 
     The DP table is evaluated by anti-diagonals (:func:`_dp_table`) in
-    ``n + m - 1`` vector steps over the whole population, bit-identical
-    to the cell-by-cell recurrence of :func:`flowshop_ct`.
+    ``n + m - 1`` vector steps per block of up to ``_CT_BLOCK`` rows,
+    bit-identical to the cell-by-cell recurrence of :func:`flowshop_ct`.
     """
     S = np.asarray(S)
     P, n = S.shape
