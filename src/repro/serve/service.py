@@ -334,9 +334,8 @@ class SolveService:
                     self.store.update(job_id, state="parked", worker=None)
                     self._inc("serve.jobs.parked")
                 continue
-            # restart first: whoever sees the job's new state also sees
-            # the restart counted (nothing in restart touches the
-            # postmortem _crashed links)
+            # restart before _crashed publishes the job's new state, so
+            # whoever sees that state also sees the restart counted
             self.pool.restart(wid)
             self._inc("serve.workers.restarts")
             if job_id is not None:

@@ -101,7 +101,7 @@ class TestInlineInstanceSpool:
                 loaded.append(
                     worker._resolve_instance(FLOWSHOP, spec, spool, LRUCache(2))
                 )
-            except Exception as exc:  # noqa: BLE001 - collected for the assert
+            except Exception as exc:
                 errors.append(exc)
 
         threads = [threading.Thread(target=spool_it) for _ in range(writers)]
@@ -109,6 +109,7 @@ class TestInlineInstanceSpool:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(loaded) == writers and all(x == inst for x in loaded)
         assert [p.suffix for p in (spool / "instances").iterdir()] == [".inst"]
