@@ -5,9 +5,11 @@ deterministic engine's trajectory on one problem (history rows, final
 best, and a checksum of the final population) so a refactor provably
 adds zero behavioral drift.  Usage::
 
-    PYTHONPATH=src python tests/golden_capture.py [--check] [PROBLEM ...]
+    PYTHONPATH=src python tests/golden_capture.py [--check] [GOLDEN ...]
 
-With no problem names every golden file is captured (or checked).
+``GOLDEN`` names a :data:`GOLDENS` entry (``independent``,
+``independent_paper``, ``flowshop``); with none, every golden file is
+captured (or checked).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from repro.cga import CGAConfig, StopCondition
 from repro.etc import make_instance
+from repro.etc.registry import load_benchmark
 from repro.problems.flowshop import load_flowshop_instance
 from repro.runtime.registry import create_engine
 
@@ -29,12 +32,22 @@ DATA = Path(__file__).parent / "data"
 
 
 class Golden(NamedTuple):
-    """One problem's golden file, instance and engine set."""
+    """One golden file: its problem, instance, run shape and engine set."""
 
     out: Path
     instance: Callable[[], object]
-    #: (engine, n_threads, extra kwargs) — deterministic configurations only.
+    #: (engine, n_threads, engine kwargs, config overrides) — deterministic
+    #: configurations only.
     engines: list
+    problem: str
+    #: CGAConfig fields shared by every engine row.
+    config: dict = {"grid_rows": 8, "grid_cols": 8, "ls_iterations": 5}
+    evals: int = 1280
+
+
+def row_key(name: str, n_threads: int, overrides: dict) -> str:
+    """``engine(n)``, plus ``key=value`` for each per-row config override."""
+    return f"{name}({n_threads})" + "".join(f" {k}={v}" for k, v in sorted(overrides.items()))
 
 
 GOLDENS = {
@@ -42,38 +55,53 @@ GOLDENS = {
         out=DATA / "golden_independent.json",
         instance=lambda: make_instance(64, 8, consistency="i", seed=1),
         engines=[
-            ("async", 1, {}),
-            ("sync", 1, {}),
-            ("vectorized", 1, {}),
-            ("sim", 3, {}),
-            ("threads", 2, {"lockstep": True}),
-            ("shm", 2, {"lockstep": True}),
+            ("async", 1, {}, {}),
+            ("sync", 1, {}, {}),
+            ("vectorized", 1, {}, {}),
+            ("sim", 3, {}, {}),
+            ("threads", 2, {"lockstep": True}, {}),
+            ("shm", 2, {"lockstep": True}, {}),
         ],
+        problem="independent",
+    ),
+    # the paper's scale: 512x16 instance, default 16x16 grid, H2LL(5)
+    "independent_paper": Golden(
+        out=DATA / "golden_independent_paper.json",
+        instance=lambda: load_benchmark("u_c_hihi.0"),
+        engines=[
+            ("vectorized", 1, {}, {}),
+            ("shm", 2, {"lockstep": True}, {}),
+            ("vectorized", 1, {}, {"crossover": "opx"}),
+        ],
+        problem="independent",
+        config={"ls_iterations": 5},
+        evals=5120,
     ),
     "flowshop": Golden(
         out=DATA / "golden_flowshop.json",
         instance=lambda: load_flowshop_instance("fs20x5.0"),
         engines=[
-            ("vectorized", 1, {}),
-            ("sync", 1, {}),
-            ("shm", 2, {"lockstep": True}),
+            ("vectorized", 1, {}, {}),
+            ("sync", 1, {}, {}),
+            ("shm", 2, {"lockstep": True}, {}),
         ],
+        problem="flowshop",
     ),
 }
 
 
-def capture(problem: str = "independent") -> dict:
-    golden = GOLDENS[problem]
+def capture(which: str = "independent") -> dict:
+    golden = GOLDENS[which]
     inst = golden.instance()
     rows = {}
-    for name, n_threads, extras in golden.engines:
+    for name, n_threads, extras, overrides in golden.engines:
         config = CGAConfig(
-            problem=problem, grid_rows=8, grid_cols=8, ls_iterations=5, n_threads=n_threads
+            problem=golden.problem, n_threads=n_threads, **golden.config, **overrides
         )
         engine = create_engine(name, inst, config, seed=7, **extras)
-        result = engine.run(StopCondition(max_evaluations=1280))
+        result = engine.run(StopCondition(max_evaluations=golden.evals))
         pop = engine.pop
-        rows[f"{name}({n_threads})"] = {
+        rows[row_key(name, n_threads, overrides)] = {
             "best_fitness": result.best_fitness,
             "evaluations": result.evaluations,
             "generations": result.generations,
@@ -88,20 +116,20 @@ def capture(problem: str = "independent") -> dict:
 
 def main(argv: list[str]) -> int:
     check = "--check" in argv
-    problems = [a for a in argv if not a.startswith("--")] or list(GOLDENS)
+    names = [a for a in argv if not a.startswith("--")] or list(GOLDENS)
     ok = True
-    for problem in problems:
-        out = GOLDENS[problem].out
-        rows = capture(problem)
+    for which in names:
+        out = GOLDENS[which].out
+        rows = capture(which)
         if check:
             golden = json.loads(out.read_text())
             for key, row in rows.items():
                 if golden.get(key) != row:
                     ok = False
-                    print(f"DRIFT in {problem} {key}:\n  golden: {golden.get(key)}\n  now:    {row}")
+                    print(f"DRIFT in {which} {key}:\n  golden: {golden.get(key)}\n  now:    {row}")
         else:
             out.write_text(json.dumps(rows, indent=2) + "\n")
-            print(f"captured {len(rows)} {problem} engine trajectories -> {out}")
+            print(f"captured {len(rows)} {which} engine trajectories -> {out}")
     if check:
         print("golden check:", "ok" if ok else "FAILED")
     return 0 if ok else 1

@@ -4,29 +4,31 @@
 (history rows, final best, population digest) of the deterministic
 engines on each workload: ``golden_independent.json`` from before the
 problems-layer refactor, ``golden_flowshop.json`` from before the
-anti-diagonal flow-shop DP.  This test replays the same seeds and
+anti-diagonal flow-shop DP, and ``golden_independent_paper.json`` (the
+paper-scale ETC run: u_c_hihi.0, 16x16 grid, tpx and opx) from before
+the flat-index ETC breeding kernels.  This test replays the same seeds and
 demands bit-identical results — the "zero behavioral drift" acceptance
 gate for any refactor or kernel rewrite.  Regenerate with::
 
-    PYTHONPATH=src python tests/golden_capture.py [PROBLEM ...]
+    PYTHONPATH=src python tests/golden_capture.py [GOLDEN ...]
 """
 
 import json
 
-from tests.golden_capture import GOLDENS, capture
+from tests.golden_capture import GOLDENS, capture, row_key
 
 
 def test_trajectories_match_golden_seeds():
-    for problem, golden_spec in GOLDENS.items():
+    for which, golden_spec in GOLDENS.items():
         golden = json.loads(golden_spec.out.read_text())
-        rows = capture(problem)
-        assert set(rows) == set(golden), f"{problem}: engine set drifted from the capture file"
+        rows = capture(which)
+        assert set(rows) == set(golden), f"{which}: engine set drifted from the capture file"
         for key, row in rows.items():
-            assert row == golden[key], f"{problem}: trajectory drift in {key}"
+            assert row == golden[key], f"{which}: trajectory drift in {key}"
 
 
 def test_golden_file_covers_every_deterministic_engine():
     for golden_spec in GOLDENS.values():
         golden = json.loads(golden_spec.out.read_text())
-        expected = {f"{name}({n})" for name, n, _ in golden_spec.engines}
+        expected = {row_key(name, n, cfg) for name, n, _, cfg in golden_spec.engines}
         assert set(golden) == expected
