@@ -10,6 +10,11 @@ improving machine on ties; the batch kernel takes the argmin over the
 candidate set, so tie-breaks can differ — every accepted move still
 strictly reduces that row's makespan, the invariant the equivalence
 tests assert.
+
+Gathers and scatters use flat row-major offsets (``row * width + col``)
+instead of 2-D fancy indexing, so ``s`` and ``ct`` must be C-contiguous
+(``ValueError`` otherwise).  This is bit-exact with the 2-D form kept in
+``tests/test_kernels.py``: same RNG calls, same float operands in order.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from repro.etc.model import ETCMatrix
+from repro.kernels.batch_ct import _require_c_contiguous
 
 __all__ = ["batch_h2ll", "BATCH_LOCAL_SEARCHES", "resolve_batch_local_search"]
 
@@ -44,16 +50,17 @@ def _random_task_on(
     membership scan that dominated the profile.
     """
     P, nt = s.shape
-    rows = np.arange(P)
-    # float-multiply draw, the same pick idiom as the scalar h2ll
-    draws = (rng.random((P, _PICK_DRAWS)) * nt).astype(np.int64)
-    hit = s[rows[:, None], draws] == machine[:, None]
-    first = hit.argmax(axis=1)
-    found = hit[rows, first]
-    task = draws[rows, first]
+    machine = machine.astype(s.dtype)[:, None]  # same-dtype compares are ~2x faster
+    draws = rng.random((P, _PICK_DRAWS))
+    draws *= nt  # float-multiply draw, the same pick idiom as the scalar h2ll
+    draws = draws.astype(np.int64)
+    hit = s.reshape(-1)[draws + np.arange(0, P * nt, nt)[:, None]] == machine
+    first = np.arange(0, P * _PICK_DRAWS, _PICK_DRAWS) + hit.argmax(axis=1)
+    found = hit.reshape(-1)[first]
+    task = draws.reshape(-1)[first]
     miss = np.flatnonzero(~found)
     if miss.size:
-        idx_r, idx_t = np.nonzero(s[miss] == machine[miss, None])
+        idx_r, idx_t = np.divmod(np.flatnonzero(s[miss] == machine[miss]), nt)
         if idx_r.size:
             counts = np.bincount(idx_r, minlength=miss.size)
             starts = np.concatenate(([0], np.cumsum(counts[:-1])))
@@ -79,15 +86,16 @@ def batch_h2ll(
     Each pass costs O(P·ntasks) for the task pick plus O(P·N) for the
     candidate scan — independent of how many rows actually move.
     """
+    _require_c_contiguous(s=s, ct=ct)
     if iterations <= 0:
         return 0
-    P = s.shape[0]
+    P, nt = s.shape
     nm = instance.nmachines
     ncand = n_candidates if n_candidates is not None else max(1, nm // 2)
     ncand = min(ncand, nm - 1) or 1
-    etc = instance.etc
-    rows = np.arange(P)
-    rows2d = rows[:, None]
+    s_flat, ct_flat = s.reshape(-1), ct.reshape(-1)
+    etc = instance.etc.reshape(-1)
+    ct_row = np.arange(0, P * nm, nm)  # flat offset of each row of ct
     moves = 0
     for _ in range(iterations):
         worst = ct.argmax(axis=1)
@@ -95,19 +103,20 @@ def batch_h2ll(
         if not found.any():
             break  # ready times alone define every makespan
         # N least-loaded machines per row (unordered within the set)
-        cand = np.argpartition(ct, ncand - 1, axis=1)[:, :ncand]
-        scores = ct[rows2d, cand] + etc[task[:, None], cand]
+        part = np.argpartition(ct, ncand - 1, axis=1)
+        cand = part[:, :ncand]
+        scores = ct_flat[cand + ct_row[:, None]] + etc[cand + (task * nm)[:, None]]
         ki = scores.argmin(axis=1)
-        best_mac = cand[rows, ki]
-        best_score = scores[rows, ki]
-        makespan = ct[rows, worst]
+        best_mac = part.reshape(-1)[ct_row + ki]
+        best_score = scores.reshape(-1)[np.arange(0, P * ncand, ncand) + ki]
+        makespan = ct.max(axis=1)
         apply = found & (best_score < makespan) & (best_mac != worst)
         r = np.flatnonzero(apply)
         if r.size:
             tr, wr, br = task[r], worst[r], best_mac[r]
-            ct[r, wr] -= etc[tr, wr]
-            ct[r, br] = best_score[r]
-            s[r, tr] = br
+            ct_flat[ct_row[r] + wr] -= etc[tr * nm + wr]
+            ct_flat[ct_row[r] + br] = best_score[r]
+            s_flat[r * nt + tr] = br
             moves += int(r.size)
     return moves
 

@@ -10,9 +10,11 @@ mirroring :mod:`repro.cga.mutation`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.etc.model import ETCMatrix
 
@@ -34,12 +36,18 @@ BatchMutation = Callable[[np.ndarray, np.ndarray, ETCMatrix, np.random.Generator
 # ----------------------------------------------------------------------
 # crossover masks
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=8)
+def _step_template(n: int) -> np.ndarray:
+    """Read-only ``(n + 1, n)`` view whose row ``n - c`` is ``arange(n) >= c``."""
+    return sliding_window_view(np.arange(2 * n) >= n, n)
+
+
 def _one_point_mask(P: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """opx: suffix from parent 2, cut drawn in [1, n-1] per row."""
     if n < 2:
         return np.zeros((P, n), dtype=bool)
     cuts = rng.integers(1, n, size=P)
-    return np.arange(n)[None, :] >= cuts[:, None]
+    return _step_template(n)[n - cuts]
 
 
 def _two_point_mask(P: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -47,10 +55,9 @@ def _two_point_mask(P: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 2:
         return np.zeros((P, n), dtype=bool)
     cuts = rng.integers(0, n + 1, size=(P, 2))
-    a = cuts.min(axis=1)[:, None]
-    b = cuts.max(axis=1)[:, None]
-    cols = np.arange(n)[None, :]
-    return (cols >= a) & (cols < b)
+    step = _step_template(n)
+    # cols >= a and not cols >= b
+    return step[n - cuts.min(axis=1)] > step[n - cuts.max(axis=1)]
 
 
 def _uniform_mask(P: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -23,7 +23,7 @@ from repro.cga.mutation import MUTATIONS, move_mutation
 from repro.etc.model import ETCMatrix
 from repro.etc.registry import BENCHMARK_INSTANCES, load_benchmark
 from repro.etc import io as etc_io
-from repro.kernels.batch_ct import batch_ct_delta
+from repro.kernels.batch_ct import _scatter_ct_delta
 from repro.kernels.batch_fitness import BATCH_FITNESS
 from repro.kernels.batch_ls import BATCH_LOCAL_SEARCHES
 from repro.kernels.batch_variation import BATCH_CROSSOVER_MASKS, BATCH_MUTATIONS
@@ -81,8 +81,11 @@ def _seed_schedules(instance: ETCMatrix, config) -> list | None:
 
 def _batch_recombine(instance, child_s, child_ct, p2_s, mask) -> np.ndarray:
     """Mask-select genes from parent 2, patching CT by the O(changed) delta."""
-    new_s = np.where(mask, p2_s, child_s)
-    batch_ct_delta(instance, child_ct, child_s, new_s)
+    changed = np.flatnonzero(mask & (p2_s != child_s))
+    new = p2_s.ravel()[changed]
+    new_s = child_s.copy()
+    np.put(new_s, changed, new)
+    _scatter_ct_delta(instance, child_ct, changed, child_s.ravel()[changed], new)
     return new_s
 
 

@@ -260,3 +260,269 @@ class TestBatchH2LL:
     def test_registry(self):
         assert "h2ll" in BATCH_LOCAL_SEARCHES
         assert set(BATCH_SELECTIONS) >= {"best2", "tournament", "random"}
+
+
+# ----------------------------------------------------------------------
+# exact references: the 2-D-index formulations the flat kernels replaced
+# ----------------------------------------------------------------------
+def _ref_random_task_on(s, machine, rng):
+    P, nt = s.shape
+    rows = np.arange(P)
+    draws = (rng.random((P, 64)) * nt).astype(np.int64)
+    hit = s[rows[:, None], draws] == machine[:, None]
+    first = hit.argmax(axis=1)
+    found = hit[rows, first]
+    task = draws[rows, first]
+    miss = np.flatnonzero(~found)
+    if miss.size:
+        idx_r, idx_t = np.nonzero(s[miss] == machine[miss, None])
+        if idx_r.size:
+            counts = np.bincount(idx_r, minlength=miss.size)
+            starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+            target = (rng.random(miss.size) * counts).astype(np.int64)
+            picked = idx_t[np.minimum(starts + target, idx_t.size - 1)]
+            nonempty = counts > 0
+            task[miss[nonempty]] = picked[nonempty]
+            found[miss[nonempty]] = True
+    return task, found
+
+
+def _ref_batch_h2ll(s, ct, instance, rng, iterations=5, n_candidates=None):
+    if iterations <= 0:
+        return 0
+    P = s.shape[0]
+    nm = instance.nmachines
+    ncand = n_candidates if n_candidates is not None else max(1, nm // 2)
+    ncand = min(ncand, nm - 1) or 1
+    etc = instance.etc
+    rows = np.arange(P)
+    moves = 0
+    for _ in range(iterations):
+        worst = ct.argmax(axis=1)
+        task, found = _ref_random_task_on(s, worst, rng)
+        if not found.any():
+            break
+        cand = np.argpartition(ct, ncand - 1, axis=1)[:, :ncand]
+        scores = ct[rows[:, None], cand] + etc[task[:, None], cand]
+        ki = scores.argmin(axis=1)
+        best_mac = cand[rows, ki]
+        best_score = scores[rows, ki]
+        makespan = ct[rows, worst]
+        apply = found & (best_score < makespan) & (best_mac != worst)
+        r = np.flatnonzero(apply)
+        if r.size:
+            tr, wr, br = task[r], worst[r], best_mac[r]
+            ct[r, wr] -= etc[tr, wr]
+            ct[r, br] = best_score[r]
+            s[r, tr] = br
+            moves += int(r.size)
+    return moves
+
+
+def _ref_batch_ct_delta(instance, ct, old_S, new_S):
+    P, nm = ct.shape
+    rows, tasks = np.nonzero(old_S != new_S)
+    if rows.size == 0:
+        return
+    old = old_S[rows, tasks]
+    new = new_S[rows, tasks]
+    etc = instance.etc
+    sub = np.bincount(rows * nm + old, weights=etc[tasks, old], minlength=P * nm)
+    add = np.bincount(rows * nm + new, weights=etc[tasks, new], minlength=P * nm)
+    ct += (add - sub).reshape(P, nm)
+
+
+def _ref_mask(name, P, n, rng):
+    if n < 2:
+        return np.zeros((P, n), dtype=bool)
+    cols = np.arange(n)[None, :]
+    if name == "opx":
+        return cols >= rng.integers(1, n, size=P)[:, None]
+    cuts = rng.integers(0, n + 1, size=(P, 2))
+    return (cols >= cuts.min(axis=1)[:, None]) & (cols < cuts.max(axis=1)[:, None])
+
+
+def _twin(seed):
+    """Two generators in the same state: one for the kernel, one for the reference."""
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _assert_same_stream(rng, ref_rng):
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _miss_heavy(ntasks, nmachines, seed, P=24):
+    """Machine ``nmachines - 1`` holds one task in odd rows and none in even rows.
+
+    With one holder among ``ntasks`` genes the 64 rejection draws mostly
+    miss, so the exact fallback runs; the even rows have no task at all,
+    so it must leave them unfound.
+    """
+    inst, rng, S = _random_batch(ntasks, nmachines, seed, P)
+    S %= nmachines - 1
+    S[np.arange(1, P, 2), rng.integers(0, ntasks, size=P // 2)] = nmachines - 1
+    return inst, rng, S
+
+
+class TestFlatKernelsMatch2DReference:
+    """The flat-index kernels are bit-identical to the 2-D formulation,
+    output for output, and leave the RNG stream in the same state."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometries)
+    def test_random_task_on(self, geom):
+        from repro.kernels.batch_ls import _random_task_on
+
+        random_rows = _random_batch(*geom, P=13)
+        worst = np.random.default_rng(geom[2]).integers(0, geom[1], 13)
+        miss_heavy = _miss_heavy(200, geom[1], geom[2])
+        for (inst, _, S), machine in ((random_rows, worst), (miss_heavy, np.full(24, geom[1] - 1))):
+            rng, ref_rng = _twin(geom[2])
+            task, found = _random_task_on(S, machine, rng)
+            ref_task, ref_found = _ref_random_task_on(S, machine, ref_rng)
+            np.testing.assert_array_equal(task, ref_task)
+            np.testing.assert_array_equal(found, ref_found)
+            _assert_same_stream(rng, ref_rng)
+
+    def test_random_task_on_miss_heavy_draws_fallback(self):
+        from repro.kernels.batch_ls import _random_task_on
+
+        inst, _, S = _miss_heavy(512, 16, 5)
+        machine = np.full(S.shape[0], 15)
+        rng, ref_rng = _twin(5)
+        task, found = _random_task_on(S, machine, rng)
+        ref_task, ref_found = _ref_random_task_on(S, machine, ref_rng)
+        np.testing.assert_array_equal(task, ref_task)
+        np.testing.assert_array_equal(found, ref_found)
+        _assert_same_stream(rng, ref_rng)
+        assert found[1::2].all() and not found[::2].any()
+        assert (S[np.arange(1, S.shape[0], 2), task[1::2]] == 15).all()
+
+    def test_empty_machine_fallback_draws_nothing(self):
+        """Every row misses and no row holds the machine: no fallback draw."""
+        from repro.kernels.batch_ls import _random_task_on
+
+        S = np.zeros((5, 30), dtype=np.int32)
+        rng, ref_rng = _twin(9)
+        task, found = _random_task_on(S, np.ones(5, dtype=np.int64), rng)
+        ref_task, ref_found = _ref_random_task_on(S, np.ones(5, dtype=np.int64), ref_rng)
+        assert not found.any() and not ref_found.any()
+        np.testing.assert_array_equal(task, ref_task)
+        _assert_same_stream(rng, ref_rng)
+        fresh = np.random.default_rng(9)
+        fresh.random((5, 64))  # the rejection block is the only draw
+        _assert_same_stream(rng, fresh)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometries, st.integers(min_value=1, max_value=6))
+    def test_batch_h2ll(self, geom, iterations):
+        for inst, _, S in (_random_batch(*geom, P=11), _miss_heavy(120, geom[1], geom[2])):
+            ct = batch_completion_times(inst, S)
+            ref_S, ref_ct = S.copy(), ct.copy()
+            rng, ref_rng = _twin(geom[2])
+            moves = batch_h2ll(S, ct, inst, rng, iterations)
+            ref_moves = _ref_batch_h2ll(ref_S, ref_ct, inst, ref_rng, iterations)
+            assert moves == ref_moves
+            np.testing.assert_array_equal(S, ref_S)
+            np.testing.assert_array_equal(ct, ref_ct)
+            _assert_same_stream(rng, ref_rng)
+
+    def test_batch_h2ll_worst_machine_without_tasks(self):
+        """Ready times make an empty machine the worst: found is all-False, no move."""
+        from repro.etc.model import ETCMatrix
+
+        base = make_instance(20, 4, consistency="i", seed=2)
+        inst = ETCMatrix(base.etc, ready_times=np.array([0.0, 0.0, 0.0, 1e12]), name="ready")
+        S = np.random.default_rng(2).integers(0, 3, size=(6, 20)).astype(np.int32)
+        ct = batch_completion_times(inst, S)
+        ref_S, ref_ct = S.copy(), ct.copy()
+        rng, ref_rng = _twin(4)
+        assert batch_h2ll(S, ct, inst, rng, 3) == _ref_batch_h2ll(ref_S, ref_ct, inst, ref_rng, 3) == 0
+        np.testing.assert_array_equal(S, ref_S)
+        np.testing.assert_array_equal(ct, ref_ct)
+        _assert_same_stream(rng, ref_rng)
+
+    def test_batch_h2ll_single_row_and_candidates(self, small_instance):
+        for P, ncand in ((1, None), (1, 1), (9, 3), (9, 50)):
+            S = np.random.default_rng(P).integers(0, 8, size=(P, 64)).astype(np.int32)
+            ct = batch_completion_times(small_instance, S)
+            ref_S, ref_ct = S.copy(), ct.copy()
+            rng, ref_rng = _twin(P)
+            moves = batch_h2ll(S, ct, small_instance, rng, 5, ncand)
+            assert moves == _ref_batch_h2ll(ref_S, ref_ct, small_instance, ref_rng, 5, ncand)
+            np.testing.assert_array_equal(S, ref_S)
+            np.testing.assert_array_equal(ct, ref_ct)
+            _assert_same_stream(rng, ref_rng)
+
+    def test_batch_h2ll_integer_etc_ties(self):
+        """Small integer ETC values tie loads, scores and makespans."""
+        from repro.etc.model import ETCMatrix
+
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            inst = ETCMatrix(gen.integers(1, 4, size=(30, 5)).astype(np.float64), name="ties")
+            S = gen.integers(0, 5, size=(40, 30)).astype(np.int32)
+            ct = batch_completion_times(inst, S)
+            ref_S, ref_ct = S.copy(), ct.copy()
+            rng, ref_rng = _twin(seed)
+            moves = batch_h2ll(S, ct, inst, rng, 6)
+            assert moves == _ref_batch_h2ll(ref_S, ref_ct, inst, ref_rng, 6)
+            np.testing.assert_array_equal(S, ref_S)
+            np.testing.assert_array_equal(ct, ref_ct)
+            _assert_same_stream(rng, ref_rng)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometries)
+    def test_batch_ct_delta(self, geom):
+        inst, rng, S = _random_batch(*geom)
+        ct = batch_completion_times(inst, S)
+        new_S = S.copy()
+        flip = rng.random(S.shape) < 0.4
+        new_S[flip] = rng.integers(0, inst.nmachines, size=int(flip.sum()), dtype=np.int32)
+        ref_ct = ct.copy()
+        batch_ct_delta(inst, ct, S, new_S)
+        _ref_batch_ct_delta(inst, ref_ct, S, new_S)
+        np.testing.assert_array_equal(ct, ref_ct)
+
+    @settings(max_examples=25, deadline=None)
+    @given(geometries, st.sampled_from(sorted(BATCH_CROSSOVER_MASKS)))
+    def test_etc_recombine(self, geom, name):
+        """The ETC recombine equals ``np.where`` + the 2-D delta."""
+        from repro.problems import resolve_problem
+
+        inst, rng, S1 = _random_batch(*geom)
+        S2 = rng.integers(0, inst.nmachines, size=S1.shape).astype(np.int32)
+        ct = batch_completion_times(inst, S1)
+        mask = crossover_mask(name, S1.shape[0], inst.ntasks, rng, rng.random(S1.shape[0]) < 0.8)
+        ref_ct = ct.copy()
+        child = resolve_problem("independent").batch_recombine(inst, S1, ct, S2, mask)
+        ref_child = np.where(mask, S2, S1)
+        _ref_batch_ct_delta(inst, ref_ct, S1, ref_child)
+        np.testing.assert_array_equal(child, ref_child)
+        np.testing.assert_array_equal(ct, ref_ct)
+        assert not np.shares_memory(child, S1)
+
+    @pytest.mark.parametrize("name", ["opx", "tpx"])
+    @pytest.mark.parametrize("P,n", [(1, 2), (1, 1), (7, 2), (3, 3), (40, 17), (128, 512)])
+    def test_masks(self, name, P, n):
+        rng, ref_rng = _twin(P * 1000 + n)
+        for active in (None, np.zeros(P, dtype=bool), np.arange(P) % 2 == 0):
+            mask = crossover_mask(name, P, n, rng, active)
+            ref = _ref_mask(name, P, n, ref_rng)
+            if active is not None:
+                ref &= active[:, None]
+            np.testing.assert_array_equal(mask, ref)
+            assert mask.flags.writeable
+            _assert_same_stream(rng, ref_rng)
+
+    def test_non_contiguous_in_place_arguments_rejected(self, tiny_instance, rng):
+        S = rng.integers(0, 4, size=(6, 2 * tiny_instance.ntasks)).astype(np.int32)
+        strided_S = S[:, ::2]
+        ct = batch_completion_times(tiny_instance, strided_S)
+        with pytest.raises(ValueError, match="s must be C-contiguous"):
+            batch_h2ll(strided_S, ct, tiny_instance, rng, 1)
+        strided_ct = np.asfortranarray(ct)
+        with pytest.raises(ValueError, match="ct must be C-contiguous"):
+            batch_h2ll(strided_S.copy(), strided_ct, tiny_instance, rng, 1)
+        with pytest.raises(ValueError, match="ct must be C-contiguous"):
+            batch_ct_delta(tiny_instance, strided_ct, strided_S, strided_S.copy())
