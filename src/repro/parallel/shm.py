@@ -87,6 +87,7 @@ import os
 import time
 import weakref
 from multiprocessing import shared_memory
+from multiprocessing.connection import wait as wait_for_sentinels
 
 import numpy as np
 
@@ -822,7 +823,7 @@ class ShmBlockPACGA:
         try:
             for p in procs:
                 p.start()
-            while any(p.is_alive() for p in procs):
+            while alive := [p.sentinel for p in procs if p.is_alive()]:
                 drain_telemetry()
                 if obs is not None:
                     total = int(sum(eval_counts))
@@ -853,7 +854,9 @@ class ShmBlockPACGA:
                             if p.is_alive():
                                 p.terminate()
                         break
-                time.sleep(0.02)
+                # wake when a worker exits, not on the next tick; only live
+                # sentinels, since an exited one is always ready (busy-spin)
+                wait_for_sentinels(alive, timeout=0.02)
             for p in procs:
                 p.join()
             if stalled is not None:
