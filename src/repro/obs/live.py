@@ -54,7 +54,7 @@ def atomic_write_json(path, obj: dict) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.write(json.dumps(obj))  # one write: json.dump streams ~4x slower
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

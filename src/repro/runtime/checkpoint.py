@@ -39,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cga.config import CGAConfig, StopCondition
+from repro.obs.live import atomic_write_json
 from repro.runtime.registry import ENGINE_SPECS, EngineSpec, resolve_engine
 
 __all__ = [
@@ -243,15 +244,13 @@ def _restore_v1(engine, state: dict) -> None:
 def save_checkpoint(engine, path: str | os.PathLike, stop: StopCondition | None = None) -> None:
     """Write :func:`capture_state` as JSON, atomically.
 
-    The snapshot lands under a temporary name and is ``rename``\\ d into
-    place, so an interrupt mid-write never corrupts the previous
-    checkpoint.
+    The snapshot is fsynced under a temporary name and ``rename``\\ d
+    into place, so neither an interrupt mid-write nor a power loss just
+    after the rename leaves a torn checkpoint.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(capture_state(engine, stop=stop)), encoding="utf-8")
-    os.replace(tmp, path)
+    atomic_write_json(path, capture_state(engine, stop=stop))
 
 
 def load_state(path: str | os.PathLike) -> dict:

@@ -43,6 +43,30 @@ class TestExactResume:
         assert np.array_equal(other.pop.s, eng.pop.s)
         assert other.rng.random() == eng.rng.random()
 
+    def test_save_fsyncs_the_file_before_replacing(self, small_instance, tmp_path, monkeypatch):
+        """A checkpoint must reach the disk before it replaces the previous one."""
+        import os
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.readlink(f"/proc/self/fd/{fd}")))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(src)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        eng = AsyncCGA(small_instance, CFG, rng=1)
+        path = tmp_path / "state.json"
+        save_checkpoint(eng, path)
+        tmp = str(path.with_name(path.name + ".tmp"))
+        assert events == [("fsync", tmp), ("replace", tmp)]
+        load_checkpoint(AsyncCGA(small_instance, CFG, rng=2), path)
+
 
 class TestValidation:
     def test_rejects_config_mismatch(self, small_instance):
