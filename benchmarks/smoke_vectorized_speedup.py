@@ -3,7 +3,7 @@
 
 Measures evaluations/second of ``VectorizedSyncCGA`` against ``AsyncCGA``
 on a 512x16 benchmark instance (pop 256) and exits non-zero when the
-speedup drops below the floor (default 2x, override with
+speedup drops below the floor (default 4x, override with
 ``REPRO_SMOKE_MIN_SPEEDUP``).  Each engine takes the best of three runs
 so one noisy-neighbor hiccup on a shared CI box does not fail the build.
 
@@ -17,7 +17,7 @@ import sys
 
 from repro import AsyncCGA, CGAConfig, StopCondition, VectorizedSyncCGA, load_benchmark
 
-MIN_SPEEDUP = float(os.environ.get("REPRO_SMOKE_MIN_SPEEDUP", "2.0"))
+MIN_SPEEDUP = float(os.environ.get("REPRO_SMOKE_MIN_SPEEDUP", "4.0"))
 RUNS = 3
 
 
