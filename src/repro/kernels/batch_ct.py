@@ -22,10 +22,10 @@ __all__ = ["batch_completion_times", "batch_ct_delta", "batch_resync_drift"]
 
 
 def _require_c_contiguous(**arrays: np.ndarray) -> None:
-    """In-place flat kernels write through ``a.reshape(-1)``, a view only if C-contiguous."""
+    """Flat in-place writes go through ``reshape(-1)``, a view only if C-contiguous."""
     for name, a in arrays.items():
         if not a.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-contiguous, got a strided {a.shape} view")
+            raise ValueError(f"{name} must be C-contiguous, got a strided view")
 
 
 def _as_batch(S: np.ndarray, ntasks: int) -> np.ndarray:
@@ -76,7 +76,7 @@ def batch_ct_delta(
 
 
 def _scatter_ct_delta(instance, ct, changed, old, new) -> None:
-    """Move the genes at ascending flat ``(P, ntasks)`` indices ``changed`` from ``old`` to ``new``."""
+    """Move genes at ascending flat ``(P, ntasks)`` indices ``changed`` old -> new."""
     _require_c_contiguous(ct=ct)
     if changed.size == 0:
         return

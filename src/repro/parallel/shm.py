@@ -854,8 +854,7 @@ class ShmBlockPACGA:
                             if p.is_alive():
                                 p.terminate()
                         break
-                # wake when a worker exits, not on the next tick; only live
-                # sentinels, since an exited one is always ready (busy-spin)
+                # live sentinels only: an exited one is always ready (spin)
                 wait_for_sentinels(alive, timeout=0.02)
             for p in procs:
                 p.join()
