@@ -109,7 +109,7 @@ def batch_h2ll(
         ki = scores.argmin(axis=1)
         best_mac = part.reshape(-1)[ct_row + ki]
         best_score = scores.reshape(-1)[np.arange(0, P * ncand, ncand) + ki]
-        makespan = ct.max(axis=1)
+        makespan = ct_flat[ct_row + worst]
         apply = found & (best_score < makespan) & (best_mac != worst)
         r = np.flatnonzero(apply)
         if r.size:
