@@ -40,6 +40,7 @@ from repro.kernels import (
     resolve_batch_fitness,
     resolve_batch_selection,
 )
+from repro.kernels.batch_ls import _random_task_on
 from repro.scheduling.schedule import Schedule, compute_completion_times
 
 # shared hypothesis strategy: a random instance geometry + seed
@@ -371,8 +372,6 @@ class TestFlatKernelsMatch2DReference:
     @settings(max_examples=25, deadline=None)
     @given(geometries)
     def test_random_task_on(self, geom):
-        from repro.kernels.batch_ls import _random_task_on
-
         random_rows = _random_batch(*geom, P=13)
         worst = np.random.default_rng(geom[2]).integers(0, geom[1], 13)
         miss_heavy = _miss_heavy(200, geom[1], geom[2])
@@ -385,8 +384,6 @@ class TestFlatKernelsMatch2DReference:
             _assert_same_stream(rng, ref_rng)
 
     def test_random_task_on_miss_heavy_draws_fallback(self):
-        from repro.kernels.batch_ls import _random_task_on
-
         inst, _, S = _miss_heavy(512, 16, 5)
         machine = np.full(S.shape[0], 15)
         rng, ref_rng = _twin(5)
@@ -400,8 +397,6 @@ class TestFlatKernelsMatch2DReference:
 
     def test_empty_machine_fallback_draws_nothing(self):
         """Every row misses and no row holds the machine: no fallback draw."""
-        from repro.kernels.batch_ls import _random_task_on
-
         S = np.zeros((5, 30), dtype=np.int32)
         rng, ref_rng = _twin(9)
         task, found = _random_task_on(S, np.ones(5, dtype=np.int64), rng)
