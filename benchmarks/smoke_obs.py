@@ -2,12 +2,14 @@
 """CI observability smoke test: schemas valid, overhead bounded.
 
 Runs a short instrumented PA-CGA (thread engine, 2 threads) into a
-telemetry bundle and fails the build when
+telemetry bundle, and the same run on the shared-memory engine (2
+free-running forked workers, which ship their telemetry back to the
+parent), and fails the build when
 
-1. the bundle is incomplete or any artifact violates its schema
+1. either bundle is incomplete or any artifact violates its schema
    (metrics.json merged/per-thread shape incl. the op.* attribution
-   counters, Chrome trace_event fields, JSONL time-series rows,
-   grid.jsonl per-cell snapshot rows), or
+   counters and the phase.* / sweep_us histograms, Chrome trace_event
+   fields, JSONL time-series rows, grid.jsonl per-cell snapshot rows), or
 2. a run with the full process-observability layer on (flight
    recorder, resource sampler, statistical stack sampler) leaves the
    expected artifacts with valid schemas, or
@@ -34,11 +36,19 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro import CGAConfig, Observer, StopCondition, ThreadedPACGA, load_benchmark
+from repro import (
+    CGAConfig,
+    Observer,
+    ShmBlockPACGA,
+    StopCondition,
+    ThreadedPACGA,
+    load_benchmark,
+)
 
 MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.10"))
 RUNS = 3
 BUDGET = 1536
+PHASES = ("select", "crossover", "mutate", "ls", "fitness")
 
 
 def check(ok: bool, what: str) -> None:
@@ -79,6 +89,11 @@ def validate_bundle(out: Path, n_threads: int) -> None:
     merged = metrics["merged"]["counters"]
     check(merged.get("breeding.evaluations", 0) >= BUDGET, "merged evaluation count")
     check("sweep_us" in metrics["merged"]["histograms"], "sweep latency histogram")
+    for phase in PHASES:
+        check(
+            f"phase.{phase}_us" in metrics["merged"]["histograms"],
+            f"phase.{phase}_us histogram missing from merged metrics",
+        )
     check(
         merged.get("op.replacement.attempts", 0) >= BUDGET,
         "operator attribution counters (op.*) missing from merged metrics",
@@ -220,14 +235,15 @@ def main() -> int:
     # ceiling is judged against the workload the paper actually runs
     cfg = CGAConfig(ls_iterations=10, n_threads=n_threads)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "bundle"
-        obs = Observer(out=out, sample_every_evals=256)
-        eng = ThreadedPACGA(inst, cfg, seed=0, obs=obs)
-        eng.run(StopCondition(max_evaluations=BUDGET))
-        obs.finalize()
-        validate_bundle(out, n_threads)
-    print("bundle schemas: OK")
+    for engine in (ThreadedPACGA, ShmBlockPACGA):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "bundle"
+            obs = Observer(out=out, sample_every_evals=256)
+            eng = engine(inst, cfg, seed=0, obs=obs)
+            eng.run(StopCondition(max_evaluations=BUDGET))
+            obs.finalize()
+            validate_bundle(out, n_threads)
+        print(f"{engine.engine_name} bundle schemas: OK")
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "bundle"

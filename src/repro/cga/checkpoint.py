@@ -3,9 +3,9 @@
 Historically this module snapshotted the sequential engines only
 (format v1: population arrays + one RNG state, config stored as a
 ``repr`` string).  The implementation now lives in
-:mod:`repro.runtime.checkpoint`, which writes format v2 (real config
-dict, per-stream RNG states, resumable progress) for *every*
-checkpointable engine; v1 files still load.
+:mod:`repro.runtime.checkpoint`, which writes format v3 (real config
+dict, per-stream RNG states, resumable progress, the registered
+problem) for *every* checkpointable engine; v1 files no longer load.
 
 This façade keeps the original call signatures and the original
 *semantics*: :func:`restore_engine` / :func:`load_checkpoint` restore
@@ -33,7 +33,7 @@ __all__ = ["engine_state", "restore_engine", "save_checkpoint", "load_checkpoint
 
 
 def engine_state(engine) -> dict:
-    """Capture an engine's full stochastic state (checkpoint format v2)."""
+    """Capture an engine's full stochastic state (checkpoint format v3)."""
     return capture_state(engine)
 
 

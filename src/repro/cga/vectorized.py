@@ -1,8 +1,9 @@
 """Data-parallel synchronous CGA: one generation = ~a dozen array ops.
 
 :class:`VectorizedSyncCGA` breeds the *whole* population at once with
-the batch kernels of :mod:`repro.kernels` instead of calling
-``evolve_individual`` ``pop_size`` times per generation.  Semantically
+one call of the batch breeding step :func:`repro.kernels.breed.breed`
+per generation instead of calling ``evolve_individual`` ``pop_size``
+times per generation.  Semantically
 it is :class:`repro.cga.engine.SyncCGA` — every child is bred against
 the frozen parent generation and the population swaps once per
 generation — but all randomness is drawn in per-generation blocks, so
@@ -28,9 +29,9 @@ import numpy as np
 
 from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import _EngineBase, RunResult
-from repro.obs.dynamics import record_batch_attribution
-from repro.runtime.budget import Budget
 from repro.kernels import resolve_batch_ops
+from repro.kernels.breed import breed
+from repro.runtime.budget import Budget
 
 __all__ = ["VectorizedSyncCGA"]
 
@@ -56,22 +57,14 @@ class VectorizedSyncCGA(_EngineBase):
         obs=None,
     ):
         super().__init__(instance, config, rng, record_history, on_generation, obs)
-        bops = resolve_batch_ops(self.config, problem=self.pop.problem)
-        self._select = bops.select
-        self._fitness = bops.fitness
-        self._mutate = bops.mutate
-        self._local_search = bops.local_search
-        self._accept = bops.accept
-        self._cross_mask = bops.cross_mask
-        self._recombine = bops.recombine
+        self._ops = resolve_batch_ops(self.config, problem=self.pop.problem)
 
     def run(self, stop: StopCondition) -> RunResult:
         """Evolve whole generations until ``stop`` triggers."""
-        pop, cfg, rng = self.pop, self.config, self.rng
+        pop, cfg, rng, ops = self.pop, self.config, self.rng, self._ops
         inst = self.instance
         P = pop.size
-        nt = inst.ntasks
-        rows = np.arange(P)
+        cells = np.arange(P)
         neighbors = self.neighbors
         resume = self._consume_resume()
         history: list[tuple[int, int, float, float]] = (
@@ -83,9 +76,8 @@ class VectorizedSyncCGA(_EngineBase):
             generations=resume["generations"] if resume else 0,
         )
         self._history = history
-        # phase-timing instrumentation: rec is None on the uninstrumented
-        # path, so the guards below compile to a cheap identity check per
-        # *generation* (a batch of pop_size breeding steps)
+        # phase timings and counters are recorded by breed(); rec is None
+        # on the uninstrumented path
         obs = self.obs
         rec = obs.recorder("main") if obs is not None else None
         tracer = obs.thread_tracer(0, "vectorized") if obs is not None else None
@@ -98,89 +90,25 @@ class VectorizedSyncCGA(_EngineBase):
             if budget.exhausted(best):
                 break
             gen_start = perf()
-            # -- selection: gather every neighborhood's fitness at once ----
-            fit_nb = pop.fitness[neighbors]  # (P, k)
-            a, b = self._select(fit_nb, rng)
-            p1 = neighbors[rows, a]
-            p2 = neighbors[rows, b]
-            if rec is not None:
-                t = perf()
-                rec.observe("phase.select_us", (t - gen_start) * 1e6)
-            # -- recombination: inheritance mask + problem CT derivation ----
-            child_s = pop.s[p1]  # fancy indexing copies the parent rows
-            child_ct = pop.ct[p1]
-            comb = rng.random(P) < cfg.p_comb
-            mask = self._cross_mask(P, nt, rng, comb)
-            if comb.any():
-                child_s = self._recombine(inst, child_s, child_ct, pop.s[p2], mask)
-            if rec is not None:
-                rec.observe("phase.crossover_us", (perf() - t) * 1e6)
-                t = perf()
-            # -- mutation and local search, in place on the children -------
-            mut = rng.random(P) < cfg.p_mut
-            self._mutate(child_s, child_ct, inst, rng, mut)
-            if rec is not None:
-                rec.observe("phase.mutate_us", (perf() - t) * 1e6)
-                t = perf()
-            ls_rows = np.empty(0, dtype=np.int64)
-            if self._local_search is not None and cfg.ls_iterations > 0:
-                ls_rows = np.flatnonzero(rng.random(P) < cfg.p_ls)
-                if ls_rows.size == P:
-                    moves = self._local_search(
-                        child_s, child_ct, inst, rng, cfg.ls_iterations, cfg.ls_candidates
-                    )
-                elif ls_rows.size:
-                    sub_s = child_s[ls_rows]
-                    sub_ct = child_ct[ls_rows]
-                    moves = self._local_search(
-                        sub_s, sub_ct, inst, rng, cfg.ls_iterations, cfg.ls_candidates
-                    )
-                    child_s[ls_rows] = sub_s
-                    child_ct[ls_rows] = sub_ct
-                else:
-                    moves = 0
-                if rec is not None:
-                    rec.observe("phase.ls_us", (perf() - t) * 1e6)
-                    rec.inc("ls.calls", int(ls_rows.size))
-                    rec.inc("ls.moves_accepted", int(moves))
-                    rec.inc("ls.moves_tried", int(ls_rows.size) * cfg.ls_iterations)
-                    t = perf()
-            # -- evaluation + synchronous elitist replacement --------------
-            child_fit = self._fitness(child_s, child_ct, inst)
-            if rec is not None:
-                rec.observe("phase.fitness_us", (perf() - t) * 1e6)
-            accept = self._accept(child_fit, pop.fitness)
-            if rec is not None:
-                # before the copyto writes below, while pop.fitness still
-                # holds the incumbents the replacement rule compared
-                ls_mask = np.zeros(P, dtype=bool)
-                ls_mask[ls_rows] = True
-                record_batch_attribution(
-                    rec.counters,
-                    accept,
-                    child_fit,
-                    pop.fitness,
-                    crossover=comb,
-                    mutation=mut,
-                    ls=ls_mask if ls_rows.size else None,
-                )
+            # parents are gathered by fancy indexing, which copies the rows
+            child_s, child_ct, child_fit, accept = breed(
+                ops, cfg, inst, rng, cells, neighbors, pop.fitness,
+                lambda ids: (pop.s[ids], pop.ct[ids]),
+                lambda ids: pop.s[ids],
+                rec,
+            )
             np.copyto(pop.s, child_s, where=accept[:, None])
             np.copyto(pop.ct, child_ct, where=accept[:, None])
             np.copyto(pop.fitness, child_fit, where=accept)
             budget.spend(P)
             generation = budget.next_generation()
-            if rec is not None:
-                rec.inc("breeding.evaluations", P)
-                rec.inc("breeding.steps", P)
-                rec.inc("breeding.replacements", int(accept.sum()))
-                rec.inc("sweeps")
-                if tracer is not None:
-                    tracer.complete(
-                        "generation",
-                        gen_start - obs.epoch,
-                        perf() - gen_start,
-                        {"generation": generation},
-                    )
+            if tracer is not None:
+                tracer.complete(
+                    "generation",
+                    gen_start - obs.epoch,
+                    perf() - gen_start,
+                    {"generation": generation},
+                )
             self._snapshot(generation, budget.evaluations, history)
             self._maybe_checkpoint(generation)
         return self._result(
@@ -196,5 +124,5 @@ class VectorizedSyncCGA(_EngineBase):
         fresh = self.pop.problem.population_ct(self.instance, self.pop.s)
         drift = float(np.abs(fresh - self.pop.ct).max(initial=0.0))
         self.pop.ct[:] = fresh
-        self.pop.fitness[:] = self._fitness(self.pop.s, self.pop.ct, self.instance)
+        self.pop.fitness[:] = self._ops.fitness(self.pop.s, self.pop.ct, self.instance)
         return drift

@@ -15,8 +15,10 @@ must match :func:`repro.scheduling.schedule.compute_completion_times`
 row by row, batch CT deltas must match :meth:`Schedule.apply_delta`,
 and the batch H2LL pass must preserve the same invariants as
 :func:`repro.cga.local_search.h2ll` (makespan never increases, CT stays
-exact).  :class:`repro.cga.vectorized.VectorizedSyncCGA` composes these
-kernels into a whole-generation engine.
+exact).  :func:`repro.kernels.breed.breed` composes these kernels into
+the one batch breeding step that both
+:class:`repro.cga.vectorized.VectorizedSyncCGA` and the shared-memory
+block engine (:mod:`repro.parallel.shm`) run.
 """
 
 from repro.kernels.batch_ct import (
@@ -68,11 +70,12 @@ BATCH_REPLACEMENTS = {
 class BatchOps:
     """The resolved batch-kernel suite for one engine configuration.
 
-    Produced by :func:`resolve_batch_ops`; both
+    Produced by :func:`resolve_batch_ops` and consumed by
+    :func:`repro.kernels.breed.breed`, the batch breeding step both
     :class:`repro.cga.vectorized.VectorizedSyncCGA` and the
-    shared-memory block engine (:mod:`repro.parallel.shm`) breed from
-    the same suite, so "does this config have batch kernels?" is
-    answered in exactly one place.  ``cross_mask`` draws the boolean
+    shared-memory block engine (:mod:`repro.parallel.shm`) run, so
+    "does this config have batch kernels?" is answered in exactly one
+    place.  ``cross_mask`` draws the boolean
     inheritance masks (``(P, n, rng, active) -> mask``) and
     ``recombine`` applies them with the problem's CT derivation
     (``(instance, child_s, child_ct, p2_s, mask) -> new_s``).

@@ -7,9 +7,10 @@ async-vs-sync comparison actually argues from:
 * **Operator attribution** — per-operator attempt / success /
   fitness-delta counters under a shared ``op.<phase>.<metric>`` naming
   scheme.  The scalar breeding path records them through
-  :func:`repro.obs.instrument.instrumented_ops`; the batch kernels
-  (vectorized engine, shm block workers) fold whole-generation masks
-  through :func:`record_batch_attribution`.  Both paths produce the
+  :func:`repro.obs.instrument.instrumented_ops`; the batch breeding
+  step :func:`repro.kernels.breed.breed` (vectorized engine, shm block
+  workers) folds whole-generation masks through
+  :func:`record_batch_attribution`.  Both paths produce the
   same keys with the same semantics, so attribution is engine-uniform
   and the parity test can demand identical success counts in lockstep.
 * **Grid dynamics** — :class:`GridDynamics` turns periodic per-cell

@@ -5,12 +5,12 @@ paper's architecture but the GIL serializes its scalar breeding loop;
 the process engine (:mod:`repro.parallel.processes`) escapes the GIL
 but pays ~8 exclusive lock acquisitions per scalar breeding step.
 :class:`ShmBlockPACGA` combines the fixes: each forked worker breeds
-its *whole block at once* with the batch kernels of
-:mod:`repro.kernels` (one NumPy generation per sweep, exactly the
-:class:`~repro.cga.vectorized.VectorizedSyncCGA` recipe applied
-per block), and the population arrays live in named
-``multiprocessing.shared_memory`` segments — zero-copy across the
-fork, nothing pickled, no locks.
+its *whole block at once* through :func:`repro.kernels.breed.breed`
+(one NumPy generation per sweep — the batch breeding step
+:class:`~repro.cga.vectorized.VectorizedSyncCGA` runs per generation,
+fed here with seqlock row gathers), and the population arrays live in
+named ``multiprocessing.shared_memory`` segments — zero-copy across
+the fork, nothing pickled, no locks.
 
 Asynchrony and the seqlock boundary protocol
 --------------------------------------------
@@ -95,7 +95,7 @@ from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import RunResult
 from repro.cga.hooks import as_hooks
 from repro.kernels import resolve_batch_ops
-from repro.obs.dynamics import record_batch_attribution
+from repro.kernels.breed import breed
 from repro.runtime.budget import Budget
 from repro.runtime.context import (
     attach_runtime,
@@ -332,19 +332,20 @@ class ShmBlockPACGA:
     # ------------------------------------------------------------------
     # the block sweep (one batch generation over one block)
     # ------------------------------------------------------------------
-    def _seq_gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consistent copies of foreign rows via the seqlock protocol."""
-        pop, seq = self.pop, self._seq
-        m = ids.size
-        s_out = np.empty((m, self.instance.ntasks), dtype=pop.s.dtype)
-        ct_out = np.empty((m, self.instance.nmachines), dtype=pop.ct.dtype)
-        pending = np.arange(m)
+    def _seq_gather(self, ids: np.ndarray, arrays=None) -> tuple[np.ndarray, ...]:
+        """Consistent copies of foreign rows of ``arrays`` (default
+        ``(s, ct)``) via the seqlock protocol."""
+        seq = self._seq
+        if arrays is None:
+            arrays = (self.pop.s, self.pop.ct)
+        outs = tuple(np.empty((ids.size, a.shape[1]), dtype=a.dtype) for a in arrays)
+        pending = np.arange(ids.size)
         spins = 0
         while pending.size:
             pids = ids[pending]
             before = seq[pids].copy()
-            s_out[pending] = pop.s[pids]
-            ct_out[pending] = pop.ct[pids]
+            for out, a in zip(outs, arrays):
+                out[pending] = a[pids]
             after = seq[pids]
             ok = (before == after) & (before % 2 == 0)
             if ok.all():
@@ -353,7 +354,7 @@ class ShmBlockPACGA:
             spins += 1
             if spins > 4:  # pragma: no cover - timing-dependent
                 time.sleep(0)  # yield so the writer can finish the row
-        return s_out, ct_out
+        return outs
 
     def _foreign(self, tid: int, ids: np.ndarray, plan: dict | None) -> np.ndarray:
         """Positions in ``ids`` owned by another process' sweep unit."""
@@ -362,52 +363,18 @@ class ShmBlockPACGA:
         return np.flatnonzero(plan["group_id"][ids] != plan["gid"])
 
     def _gather_rows(
-        self, tid: int, ids: np.ndarray, plan: dict | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Copy parent rows; foreign rows go through :meth:`_seq_gather`."""
-        pop = self.pop
-        s_out = pop.s[ids]  # fancy indexing copies
-        ct_out = pop.ct[ids]
+        self, tid: int, ids: np.ndarray, plan: dict | None = None, arrays=None
+    ) -> tuple[np.ndarray, ...]:
+        """Copy rows of ``arrays`` (default ``(s, ct)``); foreign rows
+        go through :meth:`_seq_gather`."""
+        if arrays is None:
+            arrays = (self.pop.s, self.pop.ct)
+        outs = tuple(a[ids] for a in arrays)  # fancy indexing copies
         foreign = self._foreign(tid, ids, plan)
         if foreign.size:
-            fs, fct = self._seq_gather(ids[foreign])
-            s_out[foreign] = fs
-            ct_out[foreign] = fct
-        return s_out, ct_out
-
-    def _gather_s(
-        self, tid: int, ids: np.ndarray, plan: dict | None = None
-    ) -> np.ndarray:
-        """Genomes only — the second parent's CT row is never read.
-
-        Recombination derives the child's CT from the *first* parent's
-        (genome, CT) pair plus the inherited genes, so gathering the
-        second parent's CT row was pure overhead: an extra
-        ``(B, nmachines)`` float64 copy per sweep plus seqlock retries
-        whenever a neighbor was mid-publish in that row.  Foreign rows
-        still seqlock the genome so a torn half-written permutation can
-        never enter a crossover.
-        """
-        pop, seq = self.pop, self._seq
-        s_out = pop.s[ids]  # fancy indexing copies
-        foreign = self._foreign(tid, ids, plan)
-        if foreign.size:
-            fids = ids[foreign]
-            pending = np.arange(foreign.size)
-            spins = 0
-            while pending.size:
-                pids = fids[pending]
-                before = seq[pids].copy()
-                s_out[foreign[pending]] = pop.s[pids]
-                after = seq[pids]
-                ok = (before == after) & (before % 2 == 0)
-                if ok.all():
-                    break
-                pending = pending[~ok]
-                spins += 1
-                if spins > 4:  # pragma: no cover - timing-dependent
-                    time.sleep(0)  # yield so the writer can finish the row
-        return s_out
+            for out, rows in zip(outs, self._seq_gather(ids[foreign], arrays)):
+                out[foreign] = rows
+        return outs
 
     def _publish(
         self,
@@ -442,89 +409,37 @@ class ShmBlockPACGA:
             pop.fitness[prows] = fit_rows[pr]
         return int(sh.size)
 
-    def _step_block(
-        self, tid: int, rng: np.random.Generator, rec=None
-    ) -> tuple[int, int]:
-        """One batch generation over block ``tid``.
+    def _step_block(self, tid: int, rng: np.random.Generator, rec=None) -> int:
+        """Breed block ``tid`` once with :func:`repro.kernels.breed.breed`
+        and publish the accepted children; returns the number of
+        seqlock-stamped (boundary) publications.
 
-        Returns ``(replacements, boundary_publishes)``.  ``rec`` is the
-        worker's private metric recorder; when given, the sweep's
-        operator outcomes are folded into its ``op.*`` counters via
-        :func:`repro.obs.dynamics.record_batch_attribution`.
-
-        The phase order and per-phase RNG consumption mirror
-        :meth:`repro.cga.vectorized.VectorizedSyncCGA.run` exactly, so
-        a one-block run is the vectorized engine modulo the seed tree.
+        ``rec`` is the worker's private metric recorder.  The second
+        parent's genome is gathered alone, but still through the seqlock,
+        so a torn half-written permutation never enters a crossover.
 
         When :meth:`_run_free` collapsed oversubscribed workers, ``tid``
         is a group leader and the sweep covers the group's fused cells
         (``self._plans[tid]``) in one batch.
         """
-        pop, cfg, inst = self.pop, self.config, self.instance
-        batch = self._batch
         plan = self._plans.get(tid) if self._plans is not None else None
         if plan is None:
-            block = self.blocks[tid]
-            nb = self._nb_blocks[tid]  # (B, k) global cell ids
-            shared_read = None
+            block, nb, shared_read = self.blocks[tid], self._nb_blocks[tid], None
         else:
-            block = plan["cells"]
-            nb = plan["nb"]
-            shared_read = plan["shared"]
-        B = block.size
-        # selection: neighborhood fitness is read lock-free — stale
-        # values are the paper's asynchronous semantics, and each
-        # float64 read is a single aligned load (no tearing)
-        fit_nb = pop.fitness[nb]
-        a, b = batch.select(fit_nb, rng)
-        r = np.arange(B)
-        p1 = nb[r, a]
-        p2 = nb[r, b]
-        child_s, child_ct = self._gather_rows(tid, p1, plan)
-        comb = rng.random(B) < cfg.p_comb
-        mask = batch.cross_mask(B, inst.ntasks, rng, comb)
-        if comb.any():
-            p2_s = self._gather_s(tid, p2, plan)
-            child_s = batch.recombine(inst, child_s, child_ct, p2_s, mask)
-        mut = rng.random(B) < cfg.p_mut
-        batch.mutate(child_s, child_ct, inst, rng, mut)
-        ls_rows = np.empty(0, dtype=np.int64)
-        if batch.local_search is not None and cfg.ls_iterations > 0:
-            ls_rows = np.flatnonzero(rng.random(B) < cfg.p_ls)
-            if ls_rows.size == B:
-                batch.local_search(
-                    child_s, child_ct, inst, rng, cfg.ls_iterations, cfg.ls_candidates
-                )
-            elif ls_rows.size:
-                sub_s = child_s[ls_rows]
-                sub_ct = child_ct[ls_rows]
-                batch.local_search(
-                    sub_s, sub_ct, inst, rng, cfg.ls_iterations, cfg.ls_candidates
-                )
-                child_s[ls_rows] = sub_s
-                child_ct[ls_rows] = sub_ct
-        child_fit = batch.fitness(child_s, child_ct, inst)
-        incumbent = pop.fitness[block]  # fancy indexing copies the incumbents
-        accept = batch.accept(child_fit, incumbent)
-        if rec is not None:
-            ls_mask = np.zeros(B, dtype=bool)
-            ls_mask[ls_rows] = True
-            record_batch_attribution(
-                rec.counters,
-                accept,
-                child_fit,
-                incumbent,
-                crossover=comb,
-                mutation=mut,
-                ls=ls_mask if ls_rows.size else None,
-            )
+            block, nb, shared_read = plan["cells"], plan["nb"], plan["shared"]
+        pop = self.pop
+        child_s, child_ct, child_fit, accept = breed(
+            self._batch, self.config, self.instance, rng, block, nb, pop.fitness,
+            lambda ids: self._gather_rows(tid, ids, plan),
+            lambda ids: self._gather_rows(tid, ids, plan, (pop.s,))[0],
+            rec,
+        )
         acc = np.flatnonzero(accept)
-        pubs = 0
-        if acc.size:
-            pubs = self._publish(
-                block[acc], child_s[acc], child_ct[acc], child_fit[acc], shared_read
-            )
-        return int(acc.size), pubs
+        if not acc.size:
+            return 0
+        return self._publish(
+            block[acc], child_s[acc], child_ct[acc], child_fit[acc], shared_read
+        )
 
     # ------------------------------------------------------------------
     def run(self, stop: StopCondition) -> RunResult:
@@ -597,16 +512,10 @@ class ShmBlockPACGA:
                             board.mark_done(tid)
                         continue
                     rec = recs[tid] if recs is not None else None
-                    replaced, pubs = self._step_block(
-                        tid, self._worker_rngs[tid], rec
-                    )
+                    pubs = self._step_block(tid, self._worker_rngs[tid], rec)
                     evals[tid] += self.blocks[tid].size
                     gens[tid] += 1
                     if rec is not None:
-                        rec.inc("sweeps")
-                        rec.inc("breeding.evaluations", self.blocks[tid].size)
-                        rec.inc("breeding.steps", self.blocks[tid].size)
-                        rec.inc("breeding.replacements", replaced)
                         rec.inc("boundary_evals", self._boundary_per_sweep[tid])
                         rec.inc("boundary_publishes", pubs)
                     if board is not None:
@@ -727,7 +636,6 @@ class ShmBlockPACGA:
                 rec = MetricRecorder(str(lead))
                 tracer = ThreadTracer(lead, t0) if obs.tracer is not None else None
             sizes = [self.blocks[t].size for t in members]
-            sweep_size = sum(sizes)
             if plans is None:
                 boundary_size = self._boundary_per_sweep[lead]
             else:
@@ -747,7 +655,7 @@ class ShmBlockPACGA:
                 for e, g in zip(evals_m, gens_m)
             ):
                 sweep_start = perf()
-                replaced, pubs = self._step_block(lead, rng, rec)
+                pubs = self._step_block(lead, rng, rec)
                 for i, sz in enumerate(sizes):
                     evals_m[i] += sz
                     gens_m[i] += 1
@@ -761,10 +669,6 @@ class ShmBlockPACGA:
                 if rec is not None:
                     sweep_end = perf()
                     rec.observe("sweep_us", (sweep_end - sweep_start) * 1e6)
-                    rec.inc("sweeps")
-                    rec.inc("breeding.evaluations", sweep_size)
-                    rec.inc("breeding.steps", sweep_size)
-                    rec.inc("breeding.replacements", replaced)
                     rec.inc("boundary_evals", boundary_size)
                     rec.inc("boundary_publishes", pubs)
                     if tracer is not None:

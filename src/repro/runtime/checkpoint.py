@@ -24,9 +24,9 @@ Snapshots are taken at generation/sweep boundaries only (the engines'
 natural quiescent points — see :func:`run_with_checkpoints`), and every
 value is JSON: PCG64 states are plain integers and Python's float
 round-trip via ``repr`` is exact, so resume is bit-exact by
-construction.  v1 files still load (state-only: the trajectory resumes
-exactly, the counters restart at zero) and v2 files load with the
-problem defaulted to the independent workload they predate.
+construction.  v2 files load with the problem defaulted to the
+independent workload they predate; v1 files are rejected, since nothing
+writes them any more.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = [
 CHECKPOINT_VERSION = 3
 
 #: format versions restore_state/resume_engine still understand.
-_COMPATIBLE_VERSIONS = (1, 2, 3)
+_COMPATIBLE_VERSIONS = (2, 3)
 
 
 def spec_for(engine) -> EngineSpec:
@@ -177,12 +177,9 @@ def restore_state(engine, state: dict, resume: bool = True) -> None:
     ``resume=True`` the engine's next ``run`` continues the logical run
     (counters, history and — for the simulator — scheduler clocks pick
     up where the snapshot left off); ``resume=False`` restores the
-    stochastic state only, v1-style.
+    stochastic state only.
     """
     version = state.get("format_version")
-    if version == 1:
-        _restore_v1(engine, state)
-        return
     if version not in _COMPATIBLE_VERSIONS:
         raise ValueError(f"unsupported checkpoint version: {version!r}")
     spec = spec_for(engine)
@@ -214,28 +211,6 @@ def restore_state(engine, state: dict, resume: bool = True) -> None:
             "progress": state.get("progress") if resume else None,
         }
     )
-
-
-def _restore_v1(engine, state: dict) -> None:
-    """Load a format-1 checkpoint (sequential engines, state-only)."""
-    if state["config"] != repr(engine.config):
-        raise ValueError(
-            "checkpoint was taken under a different configuration; "
-            "construct the engine with the same CGAConfig before restoring"
-        )
-    if state["instance"] != engine.instance.name:
-        raise ValueError(
-            f"checkpoint is for instance {state['instance']!r}, "
-            f"engine has {engine.instance.name!r}"
-        )
-    rng = getattr(engine, "rng", None)
-    if rng is None:
-        raise ValueError(
-            "format-1 checkpoints hold a single RNG stream and restore "
-            "only into the sequential engines"
-        )
-    _restore_population(engine, state["s"], state["ct"], state["fitness"])
-    rng.bit_generator.state = state["rng_state"]
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +253,6 @@ def resume_engine(
     version = state.get("format_version")
     if version not in _COMPATIBLE_VERSIONS:
         raise ValueError(f"unsupported checkpoint version: {version!r}")
-    if version == 1:
-        raise ValueError(
-            "format-1 checkpoints do not record the engine/config needed to "
-            "rebuild one; construct the engine yourself and call restore_state"
-        )
     spec = resolve_engine(state["engine"])
     if not spec.checkpointable:
         supported = ", ".join(

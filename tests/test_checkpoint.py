@@ -115,25 +115,11 @@ class TestStateContents:
         # the config is a real dict, not a repr string
         assert state["config"]["ls_iterations"] == CFG.ls_iterations
 
-    def test_v1_checkpoint_still_loads(self, small_instance):
-        # hand-build a format-1 state (what the old module wrote)
-        eng = AsyncCGA(small_instance, CFG, rng=7)
-        eng.run(StopCondition(max_generations=3))
-        v1 = {
-            "format_version": 1,
-            "config": repr(eng.config),
-            "instance": eng.instance.name,
-            "s": eng.pop.s.tolist(),
-            "ct": eng.pop.ct.tolist(),
-            "fitness": eng.pop.fitness.tolist(),
-            "rng_state": eng.rng.bit_generator.state,
-        }
-        other = AsyncCGA(small_instance, CFG, rng=0)
-        restore_engine(other, v1)
-        assert np.array_equal(other.pop.s, eng.pop.s)
-        assert other.rng.random() == eng.rng.random()
+    def test_v1_checkpoint_is_rejected(self, small_instance):
+        # hand-build a format-1 state (what the old module wrote): both
+        # entry points refuse it instead of half-restoring it
+        from repro.runtime.checkpoint import restore_state, resume_engine
 
-    def test_v1_rejects_config_mismatch(self, small_instance):
         eng = AsyncCGA(small_instance, CFG, rng=7)
         v1 = {
             "format_version": 1,
@@ -144,9 +130,11 @@ class TestStateContents:
             "fitness": eng.pop.fitness.tolist(),
             "rng_state": eng.rng.bit_generator.state,
         }
-        other = AsyncCGA(small_instance, CFG.with_(ls_iterations=9), rng=7)
-        with pytest.raises(ValueError, match="configuration"):
-            restore_engine(other, v1)
+        message = r"^unsupported checkpoint version: 1$"
+        with pytest.raises(ValueError, match=message):
+            restore_state(AsyncCGA(small_instance, CFG, rng=0), v1)
+        with pytest.raises(ValueError, match=message):
+            resume_engine(v1, instance=small_instance)
 
     def test_restored_invariants(self, small_instance, tmp_path):
         eng = AsyncCGA(small_instance, CFG, rng=1)

@@ -3,6 +3,7 @@ zero-overhead-when-disabled guarantee."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cga import AsyncCGA, CGAConfig, StopCondition
@@ -18,6 +19,7 @@ from repro.obs import (
 from repro.obs.metrics import MetricRecorder
 from repro.obs.observer import resolve_observer
 from repro.parallel import SimulatedPACGA, ThreadedPACGA
+from repro.parallel.shm import ShmBlockPACGA
 
 
 CFG = CGAConfig(grid_rows=6, grid_cols=6, ls_iterations=2, seed_with_minmin=False)
@@ -115,6 +117,40 @@ class TestThreadedBundle:
         merged = obs.registry.merged().counters
         # 6x6 grid split in 2 blocks: boundary cells certainly exist
         assert merged["boundary_evals"] > 0
+
+
+class TestShmBundle:
+    """shm records the same breeding telemetry as vectorized: both run
+    the one batch breeding step, ``repro.kernels.breed.breed``."""
+
+    PHASES = ("select", "crossover", "mutate", "ls", "fitness")
+
+    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "free"])
+    def test_counters_and_phases(self, tiny_instance, lockstep):
+        obs = Observer(out=None, sample_every_evals=64)
+        eng = ShmBlockPACGA(
+            tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=lockstep
+        )
+        res = eng.run(StopCondition(max_generations=3))
+        merged = obs.registry.merged()
+        counters, hists = merged.counters, merged.histograms
+        assert counters["breeding.evaluations"] == res.evaluations
+        assert counters["op.replacement.attempts"] == res.evaluations
+        for phase in self.PHASES:
+            assert hists[f"phase.{phase}_us"].count == counters["sweeps"]
+
+    def test_recorder_draws_no_rng(self, tiny_instance):
+        def final_population(obs):
+            eng = ShmBlockPACGA(
+                tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=True
+            )
+            eng.run(StopCondition(max_generations=4))
+            return eng.pop.s.copy(), eng.pop.ct.copy(), eng.pop.fitness.copy()
+
+        plain = final_population(None)
+        observed = final_population(Observer(out=None, sample_every_evals=64))
+        for a, b in zip(plain, observed):
+            assert np.array_equal(a, b)
 
 
 class TestSimulatedBundle:
