@@ -1,10 +1,9 @@
 """Throughput of every execution engine (evaluations per second).
 
 Not a paper artifact, but the measurement that grounds the whole
-reproduction: it shows where the GIL leaves the thread engine, what the
-process engine costs in locking, how fast the simulator replays
-virtual time, and what the batch-kernel engine buys over the scalar
-breeding loop.  Results land in benchmarks/out/engines_throughput.txt
+reproduction: it shows where the GIL leaves the thread engine, how
+fast the simulator replays virtual time, and what the batch-kernel
+engines buy over the scalar breeding loop.  Results land in benchmarks/out/engines_throughput.txt
 and — machine-readable, for tracking the perf trajectory across PRs —
 in BENCH_throughput.json at the repository root.
 """
@@ -18,7 +17,6 @@ import pytest
 from repro import (
     AsyncCGA,
     CGAConfig,
-    ProcessPACGA,
     ShmBlockPACGA,
     SimulatedPACGA,
     StopCondition,
@@ -63,19 +61,6 @@ def test_threaded_engine(benchmark, n_threads):
     rate = benchmark.pedantic(
         lambda: _best_of(
             3, lambda: ThreadedPACGA(INST, CFG.with_(n_threads=n_threads), seed=0), key
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    _results[key] = rate
-
-
-@pytest.mark.parametrize("n_threads", [1, 2])
-def test_process_engine(benchmark, n_threads):
-    key = f"processes({n_threads})"
-    rate = benchmark.pedantic(
-        lambda: _best_of(
-            3, lambda: ProcessPACGA(INST, CFG.with_(n_threads=n_threads), seed=0), key
         ),
         rounds=1,
         iterations=1,
@@ -164,7 +149,7 @@ def test_simulated_engine_and_report(benchmark):
     # multi-worker scaling ratios per engine family — the obs check
     # gate (`--min-parallel-speedup`) reads this section
     speedup: dict[str, float] = {}
-    for family in ("shm", "processes", "threads"):
+    for family in ("shm", "threads"):
         base = _results.get(f"{family}(1)")
         if not base:
             continue

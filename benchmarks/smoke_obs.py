@@ -263,8 +263,8 @@ def main() -> int:
 
     # the instrumented observer runs with grid-dynamics recording on
     # (the default), the resource sampler and the statistical stack
-    # sampler ON, and cProfile OFF — the always-on telemetry stack as a
-    # whole must stay under the ceiling
+    # sampler ON — the always-on telemetry stack as a whole must stay
+    # under the ceiling
     plain, instrumented, overhead = measure_overhead(
         inst,
         cfg,

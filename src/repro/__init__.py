@@ -31,7 +31,6 @@ from repro.heuristics import HEURISTICS, min_min
 from repro.cga import AsyncCGA, CGAConfig, RunResult, StopCondition, SyncCGA, VectorizedSyncCGA
 from repro.parallel import (
     CostModel,
-    ProcessPACGA,
     ShmBlockPACGA,
     SimulatedPACGA,
     ThreadedPACGA,
@@ -62,7 +61,6 @@ __all__ = [
     "VectorizedSyncCGA",
     "RunResult",
     "ThreadedPACGA",
-    "ProcessPACGA",
     "ShmBlockPACGA",
     "SimulatedPACGA",
     "CostModel",

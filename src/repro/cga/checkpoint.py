@@ -5,7 +5,7 @@ Historically this module snapshotted the sequential engines only
 ``repr`` string).  The implementation now lives in
 :mod:`repro.runtime.checkpoint`, which writes format v3 (real config
 dict, per-stream RNG states, resumable progress, the registered
-problem) for *every* checkpointable engine; v1 files no longer load.
+problem) for *every* registered engine; v1 files no longer load.
 
 This façade keeps the original call signatures and the original
 *semantics*: :func:`restore_engine` / :func:`load_checkpoint` restore

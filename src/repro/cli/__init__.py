@@ -14,7 +14,7 @@ Commands:
   persistent pool of engine workers with checkpoint durability,
   crash retries and graceful SIGTERM drain (see ``docs/serving.md``);
 * ``engines``     — list the engine registry (names, aliases,
-  substrate, resumability);
+  substrate);
 * ``problems``    — list the registered scheduling problems (genome
   type, operator families, batch kernels, supported engines);
 * ``obs``         — live/longitudinal telemetry tooling: ``watch`` a

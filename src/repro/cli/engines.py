@@ -52,14 +52,13 @@ def _cmd_engines(args) -> int:
             spec.name,
             ", ".join(spec.aliases) or "-",
             spec.parallelism,
-            "yes" if spec.checkpointable else "no",
             spec.summary,
         ]
         for spec in ENGINE_SPECS.values()
     ]
     print(
         ascii_table(
-            ["engine", "aliases", "parallelism", "resumable", "summary"], rows
+            ["engine", "aliases", "parallelism", "summary"], rows
         )
     )
     return 0
@@ -67,7 +66,7 @@ def _cmd_engines(args) -> int:
 
 def register(sub) -> None:
     sub.add_parser(
-        "engines", help="list the engine registry (names, aliases, resumability)"
+        "engines", help="list the engine registry (names, aliases, parallelism)"
     )
 
 

@@ -59,17 +59,6 @@ def add_obs_arguments(p) -> None:
         ),
     )
     p.add_argument(
-        "--obs-profile",
-        action="store_true",
-        default=False,
-        help=(
-            "profile the run with cProfile and write profile.pstats / "
-            "profile.txt / profile.collapsed (flamegraph collapsed "
-            "stacks) into the bundle; overhead estimate is stamped "
-            "into meta.json"
-        ),
-    )
-    p.add_argument(
         "--obs-flight",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -112,7 +101,6 @@ def reject_stray_obs_flags(args) -> int | None:
             ("--obs-sample-every", args.obs_sample_every),
             ("--obs-live", args.obs_live),
             ("--obs-stall-deadline", args.obs_stall_deadline),
-            ("--obs-profile", args.obs_profile or None),
             ("--obs-flight/--no-obs-flight", args.obs_flight),
             ("--obs-resources/--no-obs-resources", args.obs_resources),
             ("--obs-stack-sample", args.obs_stack_sample),

@@ -5,11 +5,11 @@ group comes from :mod:`repro.cli.obsflags` (one flag set, one
 validation path), so ``serve`` rejects ``--obs-trace`` without
 ``--obs-out`` with *exactly* the error text ``solve`` prints.  Flags
 whose machinery is per-run rather than per-service (``--obs-trace``,
-``--obs-sample-every``, ``--obs-live``, ``--obs-profile``,
-``--obs-stack-sample``) are rejected with a pointer to the per-job
-alternative; ``--obs-stall-deadline`` arms the service's worker
-watchdog and ``--obs-flight``/``--obs-resources`` toggle the service's
-own flight-recorder/resource-sampler usage.
+``--obs-sample-every``, ``--obs-live``, ``--obs-stack-sample``) are
+rejected with a pointer to the per-job alternative;
+``--obs-stall-deadline`` arms the service's worker watchdog and
+``--obs-flight``/``--obs-resources`` toggle the service's own
+flight-recorder/resource-sampler usage.
 
 Fault injection (the ``inject`` job field used by the crash-recovery
 tests and ``benchmarks/smoke_serve.py``) is gated behind the
@@ -32,7 +32,6 @@ _PER_RUN_ONLY = (
     ("--obs-trace/--no-obs-trace", "obs_trace", "per-run trace timelines"),
     ("--obs-sample-every", "obs_sample_every", "per-run time-series sampling"),
     ("--obs-live", "obs_live", "the live bundle server (serve *is* the server)"),
-    ("--obs-profile", "obs_profile", "per-run profiling"),
     ("--obs-stack-sample", "obs_stack_sample", "per-run stack sampling"),
 )
 

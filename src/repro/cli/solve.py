@@ -157,16 +157,6 @@ def _cmd_solve(args) -> int:
         return rc
 
     spec = resolve_engine(args.engine)
-    if args.checkpoint is not None and not spec.checkpointable:
-        from repro.runtime import checkpointable_engines
-
-        print(
-            f"error: engine {spec.name!r} does not support checkpoints "
-            f"(checkpointable engines: {', '.join(checkpointable_engines())})",
-            file=sys.stderr,
-        )
-        return 2
-
     problem = resolve_problem(args.problem)
     inst = problem.load_instance(args.instance or problem.default_instance)
     config = build_config(args, spec)
@@ -192,29 +182,21 @@ def _cmd_solve(args) -> int:
         extras["lockstep"] = True
     engine = spec.create(inst, config, seed=args.seed, obs=obs, **extras)
 
-    def execute():
-        if args.checkpoint is not None:
-            return run_with_checkpoints(
-                engine,
-                stop,
-                args.checkpoint,
-                every_generations=args.checkpoint_every or 1,
-            )
-        return engine.run(stop)
-
     # the observer context finalizes a *partial* bundle (with the error
     # and failing-worker identity stamped into meta.json) when the run
     # raises — that bundle is what `repro obs postmortem` renders
     from contextlib import nullcontext
 
     with obs if obs is not None else nullcontext():
-        if args.obs_profile:
-            from repro.obs import PhaseProfiler
-
-            with PhaseProfiler(obs):
-                result = execute()
+        if args.checkpoint is not None:
+            result = run_with_checkpoints(
+                engine,
+                stop,
+                args.checkpoint,
+                every_generations=args.checkpoint_every or 1,
+            )
         else:
-            result = execute()
+            result = engine.run(stop)
     print_result(args, inst, spec.name, config, result, obs=obs)
     if args.checkpoint is not None:
         print(f"checkpoint    : {args.checkpoint}")

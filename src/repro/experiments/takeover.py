@@ -73,16 +73,14 @@ def takeover_experiment(
     or the offspring equals a parent — we simply set probabilities to
     zero).
     """
-    from repro.runtime.registry import checkpointable_engines, resolve_engine
+    from repro.runtime.registry import engine_names, resolve_engine
 
     try:
         spec = resolve_engine(update)
     except ValueError:
-        spec = None
-    if spec is None or not spec.checkpointable:
         raise ValueError(
-            f"update must be one of {sorted(checkpointable_engines())}, got {update!r}"
-        )
+            f"update must be one of {sorted(engine_names())}, got {update!r}"
+        ) from None
     inst = _takeover_instance()
     config = CGAConfig(
         grid_rows=grid_rows,

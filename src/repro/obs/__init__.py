@@ -67,7 +67,6 @@ from repro.obs.dynamics import (
     load_grid_rows,
     record_batch_attribution,
 )
-from repro.obs.profile import PhaseProfiler, collapse_pstats
 from repro.obs.top import render_frame, top
 
 __all__ = [
@@ -113,8 +112,6 @@ __all__ = [
     "attribution_summary",
     "load_grid_rows",
     "record_batch_attribution",
-    "PhaseProfiler",
-    "collapse_pstats",
     "render_frame",
     "top",
 ]

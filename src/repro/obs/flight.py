@@ -1,6 +1,6 @@
 """Crash-surviving flight recorder: mmap'd event rings + post-mortem hooks.
 
-The shm/processes engines fork workers the rest of :mod:`repro.obs`
+The shm engine forks workers the rest of :mod:`repro.obs`
 can only watch from the outside: when a worker crashes, deadlocks or
 is SIGKILLed, the queue-shipped metrics die with it and the bundle
 records a stall flag at best.  This module is the black box that

@@ -502,7 +502,7 @@ class Observer:
                 "message": str(exc),
             }
             # who raised: engines stamp the failing *worker*'s identity
-            # before raising (shm/processes), so only default to this
+            # before raising (shm), so only default to this
             # process when nothing more specific is known
             self.meta.setdefault(
                 "interrupted_by",

@@ -1,23 +1,26 @@
 """Statistical sampling profiler over ``sys._current_frames()``.
 
-``--obs-profile`` (:mod:`repro.obs.profile`) wraps a run in cProfile —
-exact, but intrusive (every Python call crosses the tracer) and blind
-to forked workers: a cProfile started in the parent never sees a child
-process's frames.  This module is the complementary tool: a
-**low-overhead statistical sampler** that wakes ``hz`` times a second,
-walks every thread's current stack, and counts collapsed stacks.  Cost
-is paid at the sampling rate, not per function call, so it is safe to
-leave on for real runs — and because each process runs its *own*
-sampler, the forked shm/processes workers are first-class: every
-worker writes ``flight/samples-<role>.collapsed`` and the observer
-merges all of them into one flamegraph-ready ``samples.collapsed`` at
-finalize.
+A **low-overhead statistical sampler** that wakes ``hz`` times a
+second, walks every thread's current stack, and counts collapsed
+stacks.  Cost is paid at the sampling rate, not per function call, so
+it is safe to leave on for real runs.  Unlike cProfile, which sees only
+the process it was started in, each process runs its *own* sampler, so
+the forked shm workers are first-class: every worker writes
+``flight/samples-<role>.collapsed`` and the observer merges all of them
+into one flamegraph-ready ``samples.collapsed`` at finalize.
 
-Stack frames are labelled ``file.py:firstlineno(func)`` — exactly the
-labels :func:`repro.obs.profile.collapse_pstats` emits for cProfile
-functions, so the two profilers' outputs are directly comparable (the
-test suite asserts the sampler's hot functions agree with cProfile's
-on a single-process run).
+On the main thread the sampler is driven by a ``SIGALRM`` interval
+timer, not by a thread: a sampling thread only gets the GIL when the
+running thread next *releases* it, so calls that drop the GIL (a small
+``np.argsort`` does) would collect nearly every sample.  The signal
+handler instead runs at the main thread's next bytecode boundary,
+where the time is actually being spent.
+
+Stack frames are labelled ``file.py:firstlineno(func)`` by
+:func:`func_label`, which takes the same ``(file, line, name)`` triple
+``pstats`` keys its functions by, so the sampler's hot functions can be
+compared with cProfile's directly (the test suite asserts that they
+agree on single-process runs).
 
 Collapsed format (``flamegraph.pl`` / speedscope): one line per
 distinct stack, ``frame;frame;... <count>``, counts = samples.
@@ -25,17 +28,17 @@ distinct stack, ``frame;frame;... <count>``, counts = samples.
 
 from __future__ import annotations
 
+import signal
 import sys
 import threading
 import time
 from collections import Counter
 from pathlib import Path
 
-from repro.obs.profile import _func_label
-
 __all__ = [
     "StackSampler",
     "frame_label",
+    "func_label",
     "merge_collapsed",
     "parse_collapsed",
     "hot_functions",
@@ -53,10 +56,18 @@ _OBS_THREAD_NAMES = frozenset(
 )
 
 
+def func_label(func: tuple) -> str:
+    """``pstats`` function triple -> ``file.py:line(name)`` label."""
+    filename, lineno, name = func
+    if filename == "~":  # builtins have no file
+        return name.strip("<>")
+    return f"{Path(filename).name}:{lineno}({name})"
+
+
 def frame_label(frame) -> str:
     """cProfile-compatible label for a live frame."""
     code = frame.f_code
-    return _func_label((code.co_filename, code.co_firstlineno, code.co_name))
+    return func_label((code.co_filename, code.co_firstlineno, code.co_name))
 
 
 def _collapse_frame(frame) -> str:
@@ -70,7 +81,12 @@ def _collapse_frame(frame) -> str:
 
 
 class StackSampler:
-    """Samples every thread's stack on a daemon thread.
+    """Samples every thread's stack ``1 / interval_s`` times a second.
+
+    Started on the main thread, a ``SIGALRM`` interval timer drives the
+    sampling (see the module docstring).  Started on another thread, or
+    while an interval timer is already armed in this process, it falls
+    back to a daemon thread, which over-counts GIL-releasing calls.
 
     Parameters
     ----------
@@ -103,11 +119,21 @@ class StackSampler:
         self.n_samples = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        #: the SIGALRM handler replaced while the timer drives sampling
+        self._prev_handler = None
+        self._armed = False
+        self._in_alarm = False
 
     # -- sampling --------------------------------------------------------
-    def sample_once(self) -> int:
-        """One pass over every thread; returns stacks recorded."""
-        skip = {threading.get_ident()}
+    def sample_once(self, frame=None) -> int:
+        """One pass over every thread; returns stacks recorded.
+
+        ``frame`` is the calling thread's interrupted frame when the
+        timer handler calls; it is recorded in place of the handler's own
+        stack.  Without it the calling thread is skipped.
+        """
+        me = threading.get_ident()
+        skip = {me} if frame is None else set()
         if self._thread is not None:
             skip.add(self._thread.ident)
         excluded_names = set() if self.include_obs_threads else _OBS_THREAD_NAMES
@@ -117,11 +143,14 @@ class StackSampler:
                 for t in threading.enumerate()
                 if t.name in excluded_names and t.ident is not None
             )
+        frames = sys._current_frames()
+        if frame is not None:
+            frames[me] = frame
         recorded = 0
-        for tid, frame in list(sys._current_frames().items()):
+        for tid, top in frames.items():
             if tid in skip:
                 continue
-            stack = _collapse_frame(frame)
+            stack = _collapse_frame(top)
             if stack:
                 self.counts[stack] += 1
                 recorded += 1
@@ -129,8 +158,26 @@ class StackSampler:
         return recorded
 
     # -- lifecycle -------------------------------------------------------
+    def _on_alarm(self, signum, frame) -> None:
+        if self._in_alarm:  # a tick that fires mid-sample is dropped
+            return
+        self._in_alarm = True
+        try:
+            self.sample_once(frame)
+        except Exception:  # pragma: no cover - keep the run alive
+            pass
+        finally:
+            self._in_alarm = False
+
     def start(self) -> "StackSampler":
-        if self._thread is not None:
+        if self._thread is not None or self._armed:
+            return self
+        if threading.current_thread() is threading.main_thread() and not any(
+            signal.getitimer(signal.ITIMER_REAL)
+        ):
+            self._prev_handler = signal.signal(signal.SIGALRM, self._on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, self.interval_s, self.interval_s)
+            self._armed = True
             return self
 
         def loop() -> None:
@@ -147,6 +194,11 @@ class StackSampler:
 
     def stop(self) -> str:
         """Stop sampling and write/return the collapsed output."""
+        if self._armed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            # None: the replaced handler was not installed from Python
+            signal.signal(signal.SIGALRM, self._prev_handler or signal.SIG_DFL)
+            self._armed = False
         if self._thread is not None:
             self._stop.set()
             self._thread.join(timeout=5.0)

@@ -1,14 +1,11 @@
 """Parallel execution engines for PA-CGA (paper §3.2).
 
-Four engines implement the paper's parallel asynchronous CGA:
+Three engines implement the paper's parallel asynchronous CGA:
 
 * :class:`ThreadedPACGA` — real OS threads with per-individual
   readers-writer locks, the faithful port of the paper's design (in
   CPython the GIL serializes the pure-Python parts, so this engine is
   about *correctness under concurrency*, not wall-clock speedup);
-* :class:`ProcessPACGA` — worker processes over fork-shared arrays
-  with per-individual locks, the Python-native way to get true
-  parallelism for the scalar breeding step;
 * :class:`ShmBlockPACGA` — forked workers breeding whole blocks at
   once with the batch kernels over named ``multiprocessing.shared_memory``
   segments, boundary rows exchanged via seqlock version stamps (the
@@ -26,7 +23,6 @@ from repro.parallel.rwlock import (
     TrackedRWLock,
 )
 from repro.parallel.threads import ThreadedPACGA
-from repro.parallel.processes import ProcessPACGA
 from repro.parallel.shm import ShmBlockPACGA
 from repro.parallel.costmodel import CostModel, XEON_E5440
 from repro.parallel.simengine import SimulatedPACGA
@@ -38,7 +34,6 @@ __all__ = [
     "TrackedRWLock",
     "TrackedLockManager",
     "ThreadedPACGA",
-    "ProcessPACGA",
     "ShmBlockPACGA",
     "CostModel",
     "XEON_E5440",

@@ -1,12 +1,10 @@
 """Block-parallel PA-CGA over POSIX shared memory and batch kernels.
 
 The thread engine (:mod:`repro.parallel.threads`) reproduces the
-paper's architecture but the GIL serializes its scalar breeding loop;
-the process engine (:mod:`repro.parallel.processes`) escapes the GIL
-but pays ~8 exclusive lock acquisitions per scalar breeding step.
-:class:`ShmBlockPACGA` combines the fixes: each forked worker breeds
-its *whole block at once* through :func:`repro.kernels.breed.breed`
-(one NumPy generation per sweep — the batch breeding step
+paper's architecture but the GIL serializes its scalar breeding loop.
+:class:`ShmBlockPACGA` escapes the GIL: each forked worker breeds its
+*whole block at once* through :func:`repro.kernels.breed.breed` (one
+NumPy generation per sweep — the batch breeding step
 :class:`~repro.cga.vectorized.VectorizedSyncCGA` runs per generation,
 fed here with seqlock row gathers), and the population arrays live in
 named ``multiprocessing.shared_memory`` segments — zero-copy across
@@ -269,8 +267,8 @@ class ShmBlockPACGA:
         #: per-block neighbor tables, pre-gathered once
         self._nb_blocks = [self.neighbors[block] for block in self.blocks]
         #: boundary breeding steps per sweep of each block (cells whose
-        #: neighborhood leaves the block — the same count the threads /
-        #: processes families report as ``boundary_evals``)
+        #: neighborhood leaves the block — the same count the threads
+        #: engine reports as ``boundary_evals``)
         self._boundary_per_sweep = [int(self.crosses[b].sum()) for b in self.blocks]
         n = self.config.n_threads
         self._eval_counts = [0] * n

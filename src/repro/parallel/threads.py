@@ -8,7 +8,7 @@ neighborhood access safe — exactly Algorithms 2 and 3.
 CPython note: the GIL serializes the pure-Python breeding loop, so this
 engine demonstrates correctness under true concurrency (races would
 corrupt the CT invariants, and the test suite checks they never do) but
-not wall-clock speedup; use :class:`repro.parallel.processes.ProcessPACGA`
+not wall-clock speedup; use :class:`repro.parallel.shm.ShmBlockPACGA`
 for real parallelism or :class:`repro.parallel.simengine.SimulatedPACGA`
 for the paper's performance model.
 

@@ -11,8 +11,8 @@ resolved *through* the problem (scalar path via
 layers call the problem's codec hooks.
 
 Shapes are universal across problems so every engine's buffers (and the
-shared-memory arenas of :mod:`repro.parallel.shm` /
-:mod:`repro.parallel.processes`) stay problem-agnostic:
+shared-memory arenas of :mod:`repro.parallel.shm`) stay
+problem-agnostic:
 
 * genome — ``(ntasks,)`` ``genome_dtype`` per individual, where
   ``instance.ntasks`` is the genome length (tasks for the ETC workload,

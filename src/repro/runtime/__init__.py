@@ -23,12 +23,12 @@ heartbeats, checkpointing) is wired once, not six times:
 * :mod:`repro.runtime.context` — :class:`RunContext` setup, runtime
   attachment and result finalization helpers;
 * :mod:`repro.runtime.registry` — the :class:`EngineSpec` registry,
-  the single source of truth for engine names, aliases, constructors,
-  parallelism class and checkpointability (consumed by the CLI, the
-  experiment harnesses and the takeover study);
+  the single source of truth for engine names, aliases, constructors
+  and parallelism class (consumed by the CLI, the experiment harnesses
+  and the takeover study);
 * :mod:`repro.runtime.checkpoint` — universal checkpoint/resume
   (format v2): generation/sweep-boundary snapshots with per-stream RNG
-  state for every checkpointable engine.
+  state for every registered engine.
 """
 
 from repro.runtime.budget import Budget
@@ -49,7 +49,6 @@ from repro.runtime.registry import (
     engine_names,
     resolve_engine,
     sequential_engines,
-    checkpointable_engines,
 )
 from repro.runtime.checkpoint import (
     CHECKPOINT_VERSION,
@@ -79,7 +78,6 @@ __all__ = [
     "resolve_engine",
     "create_engine",
     "sequential_engines",
-    "checkpointable_engines",
     "CHECKPOINT_VERSION",
     "capture_state",
     "restore_state",

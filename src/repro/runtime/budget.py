@@ -12,7 +12,7 @@ counters and the two canonical checks:
   sequential engines use to stop on the exact evaluation, not the next
   boundary.
 
-For the partitioned engines (threads/processes) the evaluation budget
+For the partitioned engines (threads/shm) the evaluation budget
 is split into per-worker shares (:meth:`eval_share`) and every worker
 runs :meth:`worker_exhausted` on its private counters after each block
 sweep — workers cannot share a Python counter without defeating the

@@ -1,11 +1,11 @@
-"""Universal checkpoint/resume (format v3) for every checkpointable engine.
+"""Universal checkpoint/resume (format v3) for every registered engine.
 
 Format v1 (``repro.cga.checkpoint``) snapshotted the sequential engines
 only: population arrays plus one RNG state, with the config stored as a
 ``repr`` string.  Format v2 generalized the snapshot to *every* engine
-the registry marks checkpointable; format v3 additionally stamps the
-registered problem (``repro.problems``) so a resumed run rebuilds its
-instance through the right workload loader:
+in the registry; format v3 additionally stamps the registered problem
+(``repro.problems``) so a resumed run rebuilds its instance through the
+right workload loader:
 
 * ``config`` is a real dictionary (validated field-by-field on
   restore, not by string comparison);
@@ -134,11 +134,6 @@ def capture_state(engine, stop: StopCondition | None = None) -> dict:
     optional stop condition).
     """
     spec = spec_for(engine)
-    if not spec.checkpointable:
-        raise ValueError(
-            f"engine {spec.name!r} is not checkpointable "
-            f"(checkpointable engines: {', '.join(n for n, s in ENGINE_SPECS.items() if s.checkpointable)})"
-        )
     pop = engine.pop
     state = {
         "format_version": CHECKPOINT_VERSION,
@@ -254,15 +249,6 @@ def resume_engine(
     if version not in _COMPATIBLE_VERSIONS:
         raise ValueError(f"unsupported checkpoint version: {version!r}")
     spec = resolve_engine(state["engine"])
-    if not spec.checkpointable:
-        supported = ", ".join(
-            n for n, s in ENGINE_SPECS.items() if s.checkpointable
-        )
-        raise ValueError(
-            f"cannot resume: engine {spec.name!r} does not support "
-            f"checkpoint/restore (checkpointable engines: {supported}); "
-            "start a fresh run instead"
-        )
     config = config_from_dict(state["config"])
     if instance is None:
         from repro.problems import resolve_problem
@@ -305,9 +291,7 @@ def run_with_checkpoints(
     """
     if every_generations < 1:
         raise ValueError(f"every_generations must be >= 1, got {every_generations}")
-    spec = spec_for(engine)
-    if not spec.checkpointable:
-        raise ValueError(f"engine {spec.name!r} is not checkpointable")
+    spec_for(engine)  # rejects unregistered engine classes before the run
 
     def saver(eng) -> None:
         save_checkpoint(eng, path, stop=stop)

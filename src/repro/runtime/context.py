@@ -14,7 +14,7 @@ refactored engine replays bit-identical streams:
 
 * single-stream (async/sync/vectorized): one generator drives both
   population init and evolution;
-* ``workers=n`` (threads/processes): ``spawn_rngs(seed, n + 1)`` —
+* ``workers=n`` (threads/shm): ``spawn_rngs(seed, n + 1)`` —
   stream 0 initializes the population, streams 1..n drive the workers;
 * ``workers=n, jitter=True`` (simulated): ``spawn_rngs(seed, 1+2n)`` —
   init, then n genetic streams, then n cost-jitter streams, so the

@@ -1,10 +1,11 @@
 """The engine registry: one source of truth for every dispatch site.
 
 Each engine is described by an :class:`EngineSpec` (canonical name,
-aliases, lazily-imported class, parallelism class, checkpointability,
-seeding convention).  The CLI's ``--engine`` choices, the experiment
-harnesses, ``SEQUENTIAL_ENGINES`` and the takeover study all resolve
-engines *through this module*, so adding an engine is one
+aliases, lazily-imported class, parallelism class, seeding
+convention).  Every registered engine supports checkpoint/resume
+(:mod:`repro.runtime.checkpoint`).  The CLI's ``--engine`` choices, the
+experiment harnesses, ``SEQUENTIAL_ENGINES`` and the takeover study all
+resolve engines *through this module*, so adding an engine is one
 :func:`register_engine` call — not an if/elif ladder in six files.
 
 Classes are imported lazily (``EngineSpec.load``), so importing the
@@ -27,7 +28,6 @@ __all__ = [
     "resolve_engine",
     "create_engine",
     "sequential_engines",
-    "checkpointable_engines",
 ]
 
 
@@ -48,13 +48,8 @@ class EngineSpec:
         Alternative CLI spellings resolving to this spec.
     parallelism:
         Execution substrate: ``"sequential"`` (single stream, includes
-        the vectorized engine), ``"threads"``, ``"processes"`` or
-        ``"simulated"``.
-    checkpointable:
-        Whether the engine supports ``capture_state``/``restore_state``
-        (universal checkpoint format v2).  The process engine is not
-        checkpointable: its workers own forked address spaces that
-        cannot be quiesced into a portable snapshot.
+        the vectorized engine), ``"threads"``, ``"processes"`` (the
+        forked shm workers) or ``"simulated"``.
     seed_param:
         Constructor keyword receiving the seed: ``"rng"`` for the
         single-stream engines (accepts a Generator, int or
@@ -79,7 +74,6 @@ class EngineSpec:
     summary: str = ""
     aliases: tuple[str, ...] = ()
     parallelism: str = "sequential"
-    checkpointable: bool = False
     seed_param: str = "rng"
     threaded: bool = False
     batch: bool = False
@@ -159,14 +153,9 @@ def sequential_engines() -> dict[str, type]:
     }
 
 
-def checkpointable_engines() -> tuple[str, ...]:
-    """Canonical names of every checkpointable engine."""
-    return tuple(s.name for s in ENGINE_SPECS.values() if s.checkpointable)
-
-
 # ---------------------------------------------------------------------------
 # The built-in engines.  ``pacga-*`` aliases spell out that the threaded,
-# process and simulated engines are the paper's PA-CGA on its three
+# shared-memory and simulated engines are the paper's PA-CGA on its three
 # substrates.
 # ---------------------------------------------------------------------------
 register_engine(
@@ -175,7 +164,6 @@ register_engine(
         module="repro.cga.engine",
         qualname="AsyncCGA",
         summary="canonical asynchronous CGA (Algorithm 1, fixed line sweep)",
-        checkpointable=True,
         seed_param="rng",
         extra_kwargs=("record_history", "on_generation"),
     )
@@ -186,7 +174,6 @@ register_engine(
         module="repro.cga.engine",
         qualname="SyncCGA",
         summary="synchronous CGA (auxiliary population, one swap per generation)",
-        checkpointable=True,
         seed_param="rng",
         extra_kwargs=("record_history", "on_generation"),
     )
@@ -197,7 +184,6 @@ register_engine(
         module="repro.cga.vectorized",
         qualname="VectorizedSyncCGA",
         summary="synchronous CGA over whole-population NumPy batch kernels",
-        checkpointable=True,
         seed_param="rng",
         batch=True,
         extra_kwargs=("record_history", "on_generation"),
@@ -211,7 +197,6 @@ register_engine(
         summary="PA-CGA under a deterministic virtual-time scheduler (Fig. 4)",
         aliases=("pacga-sim",),
         parallelism="simulated",
-        checkpointable=True,
         seed_param="seed",
         threaded=True,
         extra_kwargs=("cost_model", "history_stride", "contention"),
@@ -225,7 +210,6 @@ register_engine(
         summary="PA-CGA on OS threads with per-individual RW locks (§3.2)",
         aliases=("pacga-threads",),
         parallelism="threads",
-        checkpointable=True,
         seed_param="seed",
         threaded=True,
         extra_kwargs=("hooks", "lockstep"),
@@ -240,24 +224,9 @@ register_engine(
         "seqlock boundaries over POSIX shared memory",
         aliases=("pacga-shm",),
         parallelism="processes",
-        checkpointable=True,
         seed_param="seed",
         threaded=True,
         batch=True,
         extra_kwargs=("hooks", "lockstep", "stall_kill_s"),
-    )
-)
-register_engine(
-    EngineSpec(
-        name="processes",
-        module="repro.parallel.processes",
-        qualname="ProcessPACGA",
-        summary="PA-CGA on forked workers over a shared-memory population",
-        aliases=("pacga-processes",),
-        parallelism="processes",
-        checkpointable=False,
-        seed_param="seed",
-        threaded=True,
-        extra_kwargs=("hooks",),
     )
 )

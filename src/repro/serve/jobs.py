@@ -98,7 +98,7 @@ def validate_job(payload: dict) -> dict:
     """
     from repro.cga.config import CGAConfig, StopCondition
     from repro.problems import problem_names, resolve_problem
-    from repro.runtime.registry import checkpointable_engines, resolve_engine
+    from repro.runtime.registry import resolve_engine
 
     if not isinstance(payload, dict):
         raise JobValidationError(f"job payload must be an object, got {type(payload).__name__}")
@@ -117,12 +117,6 @@ def validate_job(payload: dict) -> dict:
         spec = resolve_engine(payload.get("engine", "async"))
     except ValueError as exc:
         raise JobValidationError(str(exc)) from None
-    if not spec.checkpointable:
-        raise JobValidationError(
-            f"engine {spec.name!r} does not support checkpoints, so its jobs "
-            "cannot be made durable; checkpointable engines: "
-            f"{', '.join(checkpointable_engines())}"
-        )
 
     overrides = payload.get("config") or {}
     if not isinstance(overrides, dict):

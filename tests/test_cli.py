@@ -29,7 +29,7 @@ class TestParser:
         out = " ".join(capsys.readouterr().out.split())  # undo argparse wrapping
         assert "pacga-sim = sim" in out
         assert "pacga-threads = threads" in out
-        assert "pacga-processes = processes" in out
+        assert "pacga-shm = shm" in out
 
 
 class TestInstances:
@@ -132,7 +132,7 @@ class TestObsFlagValidation:
             (["--obs-sample-every", "64"], "--obs-sample-every"),
             (["--obs-live", "0"], "--obs-live"),
             (["--obs-stall-deadline", "5"], "--obs-stall-deadline"),
-            (["--obs-profile"], "--obs-profile"),
+            (["--no-obs-flight"], "--obs-flight"),
             (["--obs-flight"], "--obs-flight"),
             (["--no-obs-resources"], "--obs-resources"),
             (["--obs-stack-sample", "100"], "--obs-stack-sample"),
@@ -217,28 +217,6 @@ class TestObsFlagValidation:
         assert rc == 0
         assert (out / "metrics.json").exists()
         assert not (out / "trace.json").exists()
-
-    def test_obs_profile_writes_artifacts_and_meta(self, tmp_path, capsys):
-        out = tmp_path / "profiled"
-        rc = main(
-            self.BASE
-            + ["--engine", "async", "--obs-out", str(out), "--obs-profile"]
-        )
-        assert rc == 0
-        for name in ("profile.pstats", "profile.txt", "profile.collapsed"):
-            assert (out / name).exists(), name
-        meta = json.loads((out / "meta.json").read_text())
-        stamp = meta["profile"]
-        assert stamp["events"] > 0
-        assert stamp["overhead_est_s"] >= 0.0
-        assert stamp["artifacts"] == [
-            "profile.collapsed",
-            "profile.pstats",
-            "profile.txt",
-        ]
-        assert any(
-            "run" in entry["function"] for entry in stamp["top_cumulative"]
-        )
 
     def test_obs_live_announces_endpoint(self, tmp_path, capsys):
         out = tmp_path / "bundle"

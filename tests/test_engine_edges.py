@@ -103,23 +103,3 @@ class TestCliParallelEngines:
         out = capsys.readouterr().out
         assert "threads" in out
 
-    def test_processes_engine_via_cli(self, capsys):
-        from repro.cli import main
-
-        assert (
-            main(
-                [
-                    "solve",
-                    "--engine",
-                    "processes",
-                    "--threads",
-                    "2",
-                    "--instance",
-                    "u_i_hilo.0",
-                    "--evals",
-                    "512",
-                ]
-            )
-            == 0
-        )
-        assert "best makespan" in capsys.readouterr().out

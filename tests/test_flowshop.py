@@ -285,19 +285,6 @@ class TestEndToEnd:
         assert result.best_fitness >= inst.makespan_lower_bound() - 1e-9
         engine.pop.check_invariants()
 
-    def test_processes_engine_runs_flowshop(self):
-        from repro.cga import CGAConfig, StopCondition
-        from repro.runtime.registry import create_engine
-
-        inst = make_flowshop(12, 4, seed=3)
-        config = CGAConfig(
-            problem="flowshop", grid_rows=4, grid_cols=4, ls_iterations=2, n_threads=2
-        )
-        engine = create_engine("processes", inst, config, seed=9)
-        result = engine.run(StopCondition(max_evaluations=320))
-        assert result.evaluations >= 320
-        FLOWSHOP.check_genome(inst, result.best_assignment)
-
     def test_cga_reaches_or_beats_neh(self):
         # quality smoke: on a harder instance the cGA must at least
         # match its NEH seed within the budget

@@ -12,7 +12,6 @@ from repro import (
     AsyncCGA,
     CGAConfig,
     CMALTH,
-    ProcessPACGA,
     SimulatedPACGA,
     StopCondition,
     StruggleGA,
@@ -35,13 +34,12 @@ def _engines(instance):
         "async": AsyncCGA(instance, CFG, rng=0),
         "sync": SyncCGA(instance, CFG, rng=0),
         "threads": ThreadedPACGA(instance, CFG.with_(n_threads=2), seed=0),
-        "processes": ProcessPACGA(instance, CFG.with_(n_threads=2), seed=0),
         "sim": SimulatedPACGA(instance, CFG.with_(n_threads=2), seed=0),
     }
 
 
 class TestEveryEngineOnBenchmark:
-    @pytest.mark.parametrize("name", ["async", "sync", "threads", "processes", "sim"])
+    @pytest.mark.parametrize("name", ["async", "sync", "threads", "sim"])
     def test_engine_beats_minmin_seeded_start(self, benchmark_instance, name):
         engine = _engines(benchmark_instance)[name]
         res = engine.run(BUDGET)

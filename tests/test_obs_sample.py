@@ -2,16 +2,17 @@
 
 import cProfile
 import pstats
+import signal
 import threading
 import time
 from collections import Counter
 
 import pytest
 
-from repro.obs.profile import _func_label
 from repro.obs.sample import (
     StackSampler,
     frame_label,
+    func_label,
     hot_functions,
     load_merged_samples,
     merge_collapsed,
@@ -138,9 +139,76 @@ class TestStackSampler:
 
         frame = sys._getframe()
         code = frame.f_code
-        expected = _func_label((code.co_filename, code.co_firstlineno, code.co_name))
+        expected = func_label((code.co_filename, code.co_firstlineno, code.co_name))
         assert frame_label(frame) == expected
         assert expected.endswith("(test_frame_label_matches_cprofile_label)")
+
+
+class TestTimerDrivenSampling:
+    """On the main thread a SIGALRM timer drives the sampler, so samples
+    land where the time goes, not where the GIL is next released."""
+
+    def test_main_thread_sampler_arms_timer_and_restores_handler(self):
+        before = signal.getsignal(signal.SIGALRM)
+        sampler = StackSampler(interval_s=0.001).start()
+        try:
+            assert signal.getitimer(signal.ITIMER_REAL)[1] == pytest.approx(0.001)
+            assert not any(t.name == "obs-sampler" for t in threading.enumerate())
+            t0 = time.perf_counter()
+            while time.perf_counter() - t0 < 0.1:
+                workload()
+        finally:
+            text = sampler.stop()
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        assert signal.getsignal(signal.SIGALRM) == before
+        stacks = parse_collapsed(text)
+        assert any("busy_a" in stack for stack in stacks)
+        # the handler's own frames never reach the profile
+        assert not any("_on_alarm" in stack for stack in stacks)
+
+    def test_other_threads_fall_back_to_a_sampling_thread(self):
+        started = []
+        t = threading.Thread(
+            target=lambda: started.append(StackSampler(interval_s=0.001).start())
+        )
+        t.start()
+        t.join()
+        try:
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert any(t.name == "obs-sampler" for t in threading.enumerate())
+        finally:
+            started[0].stop()
+
+    def test_gil_releasing_calls_are_not_over_counted(self):
+        np = pytest.importorskip("numpy")
+        small = np.random.default_rng(0).random(9)
+
+        def sorter():  # every np.argsort call releases the GIL
+            for _ in range(20):
+                np.argsort(small, kind="stable")
+
+        def spinner():
+            _spin(3_000)
+
+        def timed(fn, reps=500):
+            t0 = time.perf_counter()
+            for _ in range(reps):
+                fn()
+            return time.perf_counter() - t0
+
+        t_sorter, t_spinner = timed(sorter), timed(spinner)
+        true_share = t_sorter / (t_sorter + t_spinner)
+        hot = dict(
+            hot_functions(
+                profile_workload(lambda: (sorter(), spinner()), min_s=1.0),
+                top=10_000,
+            )
+        )
+        n_sorter = sum(n for label, n in hot.items() if "(sorter)" in label)
+        n_spinner = sum(n for label, n in hot.items() if "(spinner)" in label)
+        sampled_share = n_sorter / (n_sorter + n_spinner)
+        # a sampling thread reads ~1.0 here: it gets the GIL inside argsort
+        assert abs(sampled_share - true_share) < 0.15, (sampled_share, true_share)
 
 
 class TestLoadMergedSamples:
@@ -190,7 +258,7 @@ class TestCProfileAgreement:
             stats.stats.items(), key=lambda kv: kv[1][3], reverse=True
         )
         cprofile_hot = [
-            _func_label(func)
+            func_label(func)
             for func, _ in by_cumtime
             if modname in str(func[0])  # this module's functions
         ][:5]
@@ -218,3 +286,53 @@ class TestCProfileAgreement:
             (i for i, lb in enumerate(labels) if "busy_b" in lb), len(labels)
         )
         assert spin_rank < busy_b_rank
+
+    @pytest.mark.parametrize("engine", ["async", "vectorized"])
+    def test_sampler_finds_cprofile_hot_repro_functions(self, engine):
+        """The sampler stands in for cProfile on a real solve: the
+        ``golden_independent`` configuration, run repeatedly under each
+        profiler, must rank cProfile's three hottest ``repro`` functions
+        (by cumulative time) among the sampler's five hottest."""
+        from pathlib import Path
+
+        import repro
+        from repro.cga import CGAConfig, StopCondition
+        from repro.etc import make_instance
+        from repro.runtime import create_engine
+
+        inst = make_instance(64, 8, consistency="i", seed=1)
+        cfg = CGAConfig(grid_rows=8, grid_cols=8, ls_iterations=5)
+        stop = StopCondition(max_evaluations=1280)
+
+        def solve():
+            create_engine(engine, inst, cfg, seed=1).run(stop)
+
+        profiler = cProfile.Profile()
+        profiler.enable()
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.8:
+            solve()
+        profiler.disable()
+        package = str(Path(repro.__file__).parent)
+        repro_stats = sorted(
+            (
+                (func, row[3])
+                for func, row in pstats.Stats(profiler).stats.items()
+                if str(func[0]).startswith(package)
+            ),
+            key=lambda kv: kv[1],
+            reverse=True,
+        )
+        repro_labels = {func_label(func) for func, _ in repro_stats}
+        cprofile_top = [func_label(func) for func, _ in repro_stats[:3]]
+
+        collapsed = profile_workload(solve, interval_s=0.001, min_s=0.8)
+        sampled_top = [
+            label
+            for label, _ in hot_functions(collapsed, top=10_000)
+            if label in repro_labels
+        ][:5]
+        missing = set(cprofile_top) - set(sampled_top)
+        assert not missing, (
+            f"sampler top-5 {sampled_top} misses cProfile top-3 {missing}"
+        )

@@ -56,9 +56,9 @@ class TestPublicDocstrings:
             assert obj.__doc__ and len(obj.__doc__.strip()) > 20
 
     def test_engines_share_run_signature(self):
-        from repro import AsyncCGA, ProcessPACGA, SimulatedPACGA, SyncCGA, ThreadedPACGA
+        from repro import AsyncCGA, ShmBlockPACGA, SimulatedPACGA, SyncCGA, ThreadedPACGA
 
-        for engine in (AsyncCGA, SyncCGA, ThreadedPACGA, ProcessPACGA, SimulatedPACGA):
+        for engine in (AsyncCGA, SyncCGA, ThreadedPACGA, ShmBlockPACGA, SimulatedPACGA):
             assert callable(getattr(engine, "run"))
 
     def test_registries_are_nonempty(self):

@@ -13,7 +13,6 @@ from repro.cga import SEQUENTIAL_ENGINES, CGAConfig, StopCondition
 from repro.runtime.registry import (
     ENGINE_SPECS,
     EngineSpec,
-    checkpointable_engines,
     create_engine,
     engine_aliases,
     engine_names,
@@ -24,7 +23,7 @@ from repro.runtime.registry import (
 
 
 class TestRegistry:
-    def test_all_seven_engines_registered(self):
+    def test_all_six_engines_registered(self):
         assert engine_names() == [
             "async",
             "sync",
@@ -32,7 +31,6 @@ class TestRegistry:
             "sim",
             "threads",
             "shm",
-            "processes",
         ]
 
     def test_aliases_resolve_to_canonical_specs(self):
@@ -41,7 +39,6 @@ class TestRegistry:
             "pacga-sim": "sim",
             "pacga-threads": "threads",
             "pacga-shm": "shm",
-            "pacga-processes": "processes",
         }
         for alias, name in aliases.items():
             assert resolve_engine(alias) is ENGINE_SPECS[name]
@@ -60,11 +57,6 @@ class TestRegistry:
                 EngineSpec(name="island", module="x", qualname="Y", aliases=("pacga-sim",))
             )
         assert "island" not in ENGINE_SPECS  # validation precedes mutation
-
-    def test_checkpointable_set(self):
-        names = checkpointable_engines()
-        assert "processes" not in names
-        assert set(names) == {"async", "sync", "vectorized", "sim", "threads", "shm"}
 
 
 class TestNoDrift:
@@ -112,9 +104,8 @@ class TestNoDrift:
     def test_takeover_error_lists_registry_names(self):
         from repro.experiments.takeover import takeover_experiment
 
-        # processes is registered but not checkpointable -> still rejected
-        with pytest.raises(ValueError, match="update must be one of.*async"):
-            takeover_experiment(update="processes")
+        with pytest.raises(ValueError, match="update must be one of.*async.*got 'island'"):
+            takeover_experiment(update="island")
 
     def test_takeover_accepts_alias(self):
         from repro.experiments.takeover import takeover_experiment

@@ -2,9 +2,8 @@
 
 Every registered engine — regardless of substrate — must produce a
 schema-valid :class:`RunResult`, respect ``max_evaluations`` within one
-sweep of the budget, honor ``seed_with_minmin``, and (where the
-registry marks it checkpointable) resume a mid-run checkpoint to a
-bit-identical final result.
+sweep of the budget, honor ``seed_with_minmin``, and resume a mid-run
+checkpoint to a bit-identical final result.
 """
 
 import json
@@ -16,7 +15,6 @@ from repro.cga import CGAConfig, StopCondition
 from repro.heuristics.minmin import min_min
 from repro.runtime import (
     capture_state,
-    checkpointable_engines,
     create_engine,
     engine_names,
     resolve_engine,
@@ -135,7 +133,7 @@ class TestResumeContract:
         assert res.history == straight.history
 
     def test_registry_resume_cases_cover_every_checkpointable_engine(self):
-        assert {name for name, _ in RESUME_CASES} == set(checkpointable_engines())
+        assert {name for name, _ in RESUME_CASES} == set(engine_names())
 
     def test_embedded_stop_condition_round_trips(self, small_instance, tmp_path):
         eng = _make("async", small_instance, seed=2)
@@ -144,11 +142,6 @@ class TestResumeContract:
         )
         _, stop = resume_engine(tmp_path / "c.json", instance=small_instance)
         assert stop == StopCondition(max_generations=4)
-
-    def test_processes_engine_rejects_checkpointing(self, small_instance):
-        eng = create_engine("processes", small_instance, CFG, seed=1)
-        with pytest.raises(ValueError, match="not checkpointable"):
-            capture_state(eng)
 
     def test_free_running_threads_reject_checkpointing(self, small_instance):
         eng = create_engine("threads", small_instance, CFG, seed=1)

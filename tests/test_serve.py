@@ -134,10 +134,6 @@ class TestValidateJob:
         with pytest.raises(JobValidationError, match="async"):
             validate_job({"engine": "nope"})
 
-    def test_non_checkpointable_engine_rejected(self):
-        with pytest.raises(JobValidationError, match="does not support checkpoints"):
-            validate_job({"engine": "processes"})
-
     def test_config_overrides_validated_against_cgaconfig(self):
         with pytest.raises(JobValidationError, match="invalid config overrides: bogus"):
             validate_job({"config": {"bogus": 1}})
@@ -229,8 +225,8 @@ class TestBackpressure:
 
     def test_invalid_payload_never_enqueued(self, tmp_path):
         svc = SolveService(tmp_path, workers=1)
-        with pytest.raises(JobValidationError):
-            svc.submit({"engine": "processes"})
+        with pytest.raises(JobValidationError, match="unknown engine 'island'"):
+            svc.submit({"engine": "island"})
         assert svc.snapshot()["queue_depth"] == 0 and not svc.jobs()
 
 

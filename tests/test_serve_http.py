@@ -112,9 +112,9 @@ class TestEndpoints:
         assert code == 405
 
     def test_validation_error_is_400(self, unstarted):
-        code, _, body = _request(unstarted.base, "POST", "/jobs", {"engine": "processes"})
+        code, _, body = _request(unstarted.base, "POST", "/jobs", {"engine": "island"})
         assert code == 400
-        assert "does not support checkpoints" in _json(body)["error"]
+        assert "unknown engine 'island'" in _json(body)["error"]
 
     def test_malformed_json_is_400(self, unstarted):
         req = urllib.request.Request(
@@ -185,7 +185,6 @@ class TestCliFlagParity:
             (["--obs-trace"], "--obs-trace"),
             (["--obs-sample-every", "64"], "--obs-sample-every"),
             (["--obs-live", "0"], "--obs-live"),
-            (["--obs-profile"], "--obs-profile"),
             (["--obs-stack-sample", "97"], "--obs-stack-sample"),
         ]:
             rc = main(["serve", "--obs-out", out, *flags])
