@@ -180,7 +180,8 @@ class TestTimerDrivenSampling:
             started[0].stop()
 
     def test_gil_releasing_calls_are_not_over_counted(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         small = np.random.default_rng(0).random(9)
 
         def sorter():  # every np.argsort call releases the GIL
