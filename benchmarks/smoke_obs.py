@@ -23,6 +23,12 @@ parent), and fails the build when
    instead of biasing whichever side ran last, and the median discards
    one-off scheduler hiccups in either direction.
 
+Before the gate verdict it prints a per-component overhead breakdown
+(diagnostic only, it gates nothing): the gated observer, and the same
+observer without the stack sampler, without grid dynamics, without the
+resource sampler, and with metrics only — measured as interleaved
+plain/variant run pairs, so every variant sees the same load drift.
+
 Usage: PYTHONPATH=src python benchmarks/smoke_obs.py
 """
 
@@ -49,6 +55,32 @@ MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.10"))
 RUNS = 3
 BUDGET = 1536
 PHASES = ("select", "crossover", "mutate", "ls", "fitness")
+
+#: the gated observer: grid-dynamics recording on (the default), the
+#: resource sampler and the statistical stack sampler ON — the always-on
+#: telemetry stack as a whole must stay under the ceiling
+GATED_OBS = dict(
+    out=None,
+    sample_every_evals=256,
+    grid=True,
+    resources=True,
+    resource_every_s=0.25,
+    stack_sample_s=0.005,
+)
+#: diagnostic variants: each overrides the gated observer's settings
+BREAKDOWN = {
+    "full observer": {},
+    "no stack sampler": {"stack_sample_s": None},
+    "no grid dynamics": {"grid": False},
+    "no resources": {"resources": False},
+    "metrics only": {
+        "trace": False,
+        "grid": False,
+        "resources": False,
+        "stack_sample_s": None,
+    },
+}
+BREAKDOWN_RUNS = 5
 
 
 def check(ok: bool, what: str) -> None:
@@ -228,6 +260,21 @@ def measure_overhead(inst, cfg, obs_factory) -> tuple[float, float, float]:
     )
 
 
+def overhead_breakdown(inst, cfg) -> dict[str, float]:
+    """Median pairwise overhead of every :data:`BREAKDOWN` variant.
+
+    Each round runs one plain/variant pair per variant, so the variants
+    are interleaved and share the host's load drift.
+    """
+    ratios: dict[str, list[float]] = {name: [] for name in BREAKDOWN}
+    for _ in range(BREAKDOWN_RUNS):
+        for name, changes in BREAKDOWN.items():
+            plain = one_run(inst, cfg, lambda: None)
+            variant = one_run(inst, cfg, lambda: Observer(**{**GATED_OBS, **changes}))
+            ratios[name].append(variant / plain)
+    return {name: statistics.median(r) - 1.0 for name, r in ratios.items()}
+
+
 def main() -> int:
     inst = load_benchmark("u_c_hihi.0")
     n_threads = 2
@@ -261,22 +308,12 @@ def main() -> int:
         validate_process_obs_bundle(out)
     print("process-observability schemas: OK")
 
-    # the instrumented observer runs with grid-dynamics recording on
-    # (the default), the resource sampler and the statistical stack
-    # sampler ON — the always-on telemetry stack as a whole must stay
-    # under the ceiling
     plain, instrumented, overhead = measure_overhead(
-        inst,
-        cfg,
-        lambda: Observer(
-            out=None,
-            sample_every_evals=256,
-            grid=True,
-            resources=True,
-            resource_every_s=0.25,
-            stack_sample_s=0.005,
-        ),
+        inst, cfg, lambda: Observer(**GATED_OBS)
     )
+    print(f"overhead breakdown (diagnostic, median of {BREAKDOWN_RUNS} pairs each):")
+    for name, share in overhead_breakdown(inst, cfg).items():
+        print(f"  {name:<17}: {100 * share:+.1f}%")
     print(f"uninstrumented : {plain:8.3f} s (median of {RUNS})")
     print(f"instrumented   : {instrumented:8.3f} s (median of {RUNS})")
     print(f"overhead       : {100 * overhead:+.1f}% (ceiling: {100 * MAX_OVERHEAD:.0f}%)")

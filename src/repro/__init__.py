@@ -38,7 +38,7 @@ from repro.parallel import (
 )
 from repro.baselines import CMALTH, StruggleGA
 from repro.cga.hooks import EngineHooks
-from repro.obs import Observer, ObsConfig
+from repro.obs import Observer
 
 __version__ = "1.0.0"
 
@@ -69,6 +69,5 @@ __all__ = [
     "CMALTH",
     "EngineHooks",
     "Observer",
-    "ObsConfig",
     "__version__",
 ]

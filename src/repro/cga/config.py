@@ -3,7 +3,7 @@
 :class:`CGAConfig` captures every knob of Table 1 with the paper's
 values as defaults; ``resolve()`` turns the string-keyed choices into
 the concrete operator callables used by all engines (sequential,
-threaded, process-based and simulated), so one config object fully
+threaded, shared-memory and simulated), so one config object fully
 determines a run.
 """
 
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import ObsConfig
+from typing import Any
 
 from repro.cga.grid import Grid2D
 from repro.cga.neighborhood import NEIGHBORHOODS
@@ -108,10 +105,6 @@ class CGAConfig:
     #: above are validated against — and resolved from — this problem's
     #: registries, so one config shape drives every workload.
     problem: str = "independent"
-    #: optional declarative telemetry settings; engines materialize it
-    #: into a live ``repro.obs.Observer`` and auto-finalize the bundle
-    #: on stop.  None (default) means no instrumentation at all.
-    obs: "ObsConfig | None" = None
 
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:

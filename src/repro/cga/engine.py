@@ -192,7 +192,7 @@ class _EngineBase:
         config: CGAConfig | None = None,
         rng: np.random.Generator | int | None = None,
         record_history: bool = True,
-        on_generation: Callable | EngineHooks | None = None,
+        hooks: EngineHooks | None = None,
         obs=None,
     ):
         ctx = build_context(instance, config, rng=rng, obs=obs)
@@ -201,9 +201,8 @@ class _EngineBase:
         self.rng = ctx.rng
         self.record_history = record_history
         #: lifecycle hooks (``on_generation``, ``on_improvement``,
-        #: ``on_stop``); a bare callable is accepted for backward
-        #: compatibility and becomes the ``on_generation`` slot.
-        self.hooks = as_hooks(on_generation)
+        #: ``on_stop``)
+        self.hooks = as_hooks(hooks)
         self.grid = ctx.grid
         self.neighbors = ctx.neighbors
         self.ops = ctx.ops
@@ -283,15 +282,6 @@ class _EngineBase:
             best = resume.get("best_seen")
             self._best_seen = math.inf if best is None else best
         return resume
-
-    @property
-    def on_generation(self) -> Callable | None:
-        """Back-compat view of ``hooks.on_generation`` (bare attribute API)."""
-        return self.hooks.on_generation
-
-    @on_generation.setter
-    def on_generation(self, fn: Callable | None) -> None:
-        self.hooks.on_generation = fn
 
     def _snapshot(self, generation: int, evaluations: int, history: list) -> None:
         hooks, obs_hooks = self.hooks, self._obs_hooks

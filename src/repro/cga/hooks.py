@@ -1,8 +1,7 @@
 """Engine lifecycle hooks.
 
-Historically the sequential engines exposed a single undocumented
-``on_generation`` callable; this module formalizes it as a small,
-mutable protocol object with three slots:
+Every engine that takes hooks takes them as ``hooks=EngineHooks(...)``,
+a small, mutable protocol object with four slots:
 
 * ``on_generation(engine, generation, evaluations)`` — after every
   completed generation (never for the initial snapshot);
@@ -15,10 +14,8 @@ mutable protocol object with three slots:
   has not advanced within the configured deadline.  Fired from the
   watchdog's monitor thread, never from the stalled worker itself.
 
-Backward compatibility: everywhere a hooks object is accepted, a bare
-callable still works and is treated as ``EngineHooks(on_generation=f)``
-— :func:`as_hooks` performs that normalization.  The observability
-layer (:mod:`repro.obs`) attaches through exactly this protocol.
+The observability layer (:mod:`repro.obs`) attaches through exactly
+this protocol.
 """
 
 from __future__ import annotations
@@ -50,19 +47,12 @@ class EngineHooks:
         return f"EngineHooks({', '.join(set_) or 'empty'})"
 
 
-def as_hooks(hook: "EngineHooks | Callable | None") -> EngineHooks:
-    """Normalize a bare ``on_generation`` callable into :class:`EngineHooks`.
-
-    ``None`` yields an empty hooks object, an existing hooks object is
-    returned as-is (not copied — engines may mutate it via the
-    ``engine.on_generation`` compatibility property).
-    """
-    if hook is None:
+def as_hooks(hooks: EngineHooks | None) -> EngineHooks:
+    """The engine's hooks object: ``None`` yields an empty one, an
+    :class:`EngineHooks` is returned as-is (not copied — callers may set
+    its slots after construction)."""
+    if hooks is None:
         return EngineHooks()
-    if isinstance(hook, EngineHooks):
-        return hook
-    if callable(hook):
-        return EngineHooks(on_generation=hook)
-    raise TypeError(
-        f"expected EngineHooks, callable or None, got {type(hook).__name__}"
-    )
+    if isinstance(hooks, EngineHooks):
+        return hooks
+    raise TypeError(f"expected EngineHooks or None, got {type(hooks).__name__}")

@@ -35,7 +35,7 @@ class Population:
     grid:
         The toroidal layout (its ``size`` is the population size).
     s, ct, fitness:
-        Optional pre-allocated backing arrays (the process engine passes
+        Optional pre-allocated backing arrays (the shm engine passes
         shared-memory views); freshly allocated when omitted.
     """
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import _EngineBase, RunResult
+from repro.cga.hooks import EngineHooks
 from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
 from repro.runtime.budget import Budget
@@ -53,10 +54,10 @@ class VectorizedSyncCGA(_EngineBase):
         config: CGAConfig | None = None,
         rng: np.random.Generator | int | None = None,
         record_history: bool = True,
-        on_generation=None,
+        hooks: EngineHooks | None = None,
         obs=None,
     ):
-        super().__init__(instance, config, rng, record_history, on_generation, obs)
+        super().__init__(instance, config, rng, record_history, hooks, obs)
         self._ops = resolve_batch_ops(self.config, problem=self.pop.problem)
 
     def run(self, stop: StopCondition) -> RunResult:

@@ -17,7 +17,7 @@ Commands:
   substrate);
 * ``problems``    — list the registered scheduling problems (genome
   type, operator families, batch kernels, supported engines);
-* ``obs``         — live/longitudinal telemetry tooling: ``watch`` a
+* ``obs``         — live/longitudinal telemetry tooling: ``top`` over a
   running bundle, ``ingest`` finished bundles into a JSONL run
   history, ``history``/``diff`` past runs, and ``check`` a run against
   a baseline with regression gates (nonzero exit on regression);

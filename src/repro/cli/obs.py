@@ -11,11 +11,6 @@ def register(sub) -> None:
     p = sub.add_parser("obs", help="live + longitudinal telemetry tooling")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
-    q = obs_sub.add_parser("watch", help="render a bundle's live.json in place")
-    q.add_argument("bundle", help="telemetry bundle directory")
-    q.add_argument("--interval", type=float, default=1.0, help="refresh seconds")
-    q.add_argument("--once", action="store_true", help="render one frame and exit")
-
     q = obs_sub.add_parser(
         "top",
         help=(
@@ -139,11 +134,6 @@ def register(sub) -> None:
 
 
 def _cmd_obs(args) -> int:
-    if args.obs_command == "watch":
-        from repro.obs.live import watch
-
-        return watch(args.bundle, interval_s=args.interval, once=args.once)
-
     if args.obs_command == "top":
         from repro.obs.top import top
 

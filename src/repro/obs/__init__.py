@@ -38,7 +38,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import ThreadTracer, Tracer
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.obs.observer import ObsConfig, Observer, WorkerObs, resolve_observer
+from repro.obs.observer import Observer, WorkerObs
 from repro.obs.instrument import instrumented_ops
 from repro.obs.report import load_bundle, render_markdown, render_terminal
 from repro.obs.live import LivePublisher, render_openmetrics
@@ -77,10 +77,8 @@ __all__ = [
     "Tracer",
     "ThreadTracer",
     "TimeSeriesSampler",
-    "ObsConfig",
     "Observer",
     "WorkerObs",
-    "resolve_observer",
     "instrumented_ops",
     "load_bundle",
     "render_markdown",

@@ -1,4 +1,4 @@
-"""Live run export: atomic ``live.json``, OpenMetrics HTTP, watch view.
+"""Live run export: atomic ``live.json`` and OpenMetrics HTTP.
 
 PR 2's bundles are post-mortem — nothing is visible until
 ``Observer.finalize()``.  This module adds the *during-the-run* layer:
@@ -13,8 +13,9 @@ PR 2's bundles are post-mortem — nothing is visible until
   Prometheus text exposition format, ``/live.json`` as JSON.
 * :func:`render_openmetrics` — the exposition-format renderer
   (deterministic output; the golden test pins it).
-* :func:`watch` / :func:`render_watch` — ``repro obs watch <dir>``
-  renders the snapshot in place in the terminal.
+
+``repro obs top`` (:mod:`repro.obs.top`) renders the snapshot in the
+terminal.
 
 The publisher reads worker state the same way the time-series sampler
 does — lock-free and slightly stale by design — so going live costs the
@@ -27,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Callable
 
@@ -36,8 +36,6 @@ __all__ = [
     "atomic_write_json",
     "render_openmetrics",
     "LivePublisher",
-    "render_watch",
-    "watch",
 ]
 
 #: content type the /metrics endpoint advertises (Prometheus scrapes it)
@@ -47,8 +45,8 @@ OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset
 def atomic_write_json(path, obj: dict) -> None:
     """Write ``obj`` as JSON via a same-directory temp + ``os.replace``.
 
-    ``os.replace`` is atomic on POSIX, so concurrent readers (the watch
-    view, a scraper tailing the file) always load either the previous
+    ``os.replace`` is atomic on POSIX, so concurrent readers (the top
+    dashboard, a scraper tailing the file) always load either the previous
     or the new complete snapshot, never a partial write.
     """
     path = Path(path)
@@ -305,100 +303,3 @@ class LivePublisher:
         )
         self._server_thread.start()
 
-
-# -- terminal watch view --------------------------------------------------
-
-def render_watch(snap: dict) -> str:
-    """One screenful of live-run state from a ``live.json`` snapshot."""
-    meta = snap.get("meta", {})
-    progress = snap.get("progress", {})
-    counters = snap.get("metrics", {}).get("counters", {})
-    lines = []
-    head = " ".join(
-        f"{k}={meta[k]}" for k in ("engine", "instance", "n_threads") if k in meta
-    )
-    lines.append(f"live run  {head}".rstrip())
-    lines.append(f"updated   {snap.get('updated_t_s', 0.0):.1f}s into the run")
-
-    def num(v, digits=2):
-        return f"{v:,.{digits}f}" if isinstance(v, float) else f"{v:,}"
-
-    for key, label in (
-        ("generation", "generation"),
-        ("evaluations", "evaluations"),
-        ("best", "best fitness"),
-        ("evals_per_s", "evals/s"),
-    ):
-        if key in progress and progress[key] is not None:
-            lines.append(f"{label:<12}: {num(progress[key])}")
-    hb = progress.get("heartbeats")
-    if hb:
-        done = progress.get("workers_done") or [0] * len(hb)
-        stalls = counters.get("watchdog.stalls", 0)
-        marks = []
-        for w, beat in enumerate(hb):
-            state = "done" if done[w] else "live"
-            marks.append(f"w{w}:{int(beat)} ({state})")
-        lines.append(f"heartbeats  : {'  '.join(marks)}")
-        if stalls:
-            lines.append(f"stalls      : {int(stalls)} (see watchdog.* metrics)")
-    for key, label in (
-        ("breeding.evaluations", "evals counted"),
-        ("breeding.replacements", "replacements"),
-        ("improvements", "improvements"),
-    ):
-        if key in counters:
-            lines.append(f"{label:<12}: {int(counters[key]):,}")
-    res = snap.get("resources")
-    if res:
-        parts = []
-        for key, label, unit in (
-            ("rss_mb", "rss", "MB"),
-            ("cpu_s", "cpu", "s"),
-            ("fds", "fds", ""),
-            ("shm_mb", "shm", "MB"),
-        ):
-            if key in res:
-                parts.append(f"{label} {res[key]:g}{unit}")
-        if "peak_rss_mb" in res:
-            parts.append(f"peak rss {res['peak_rss_mb']:g}MB")
-        lines.append(f"resources   : {'  '.join(parts)}")
-    return "\n".join(lines)
-
-
-def watch(
-    bundle_dir,
-    interval_s: float = 1.0,
-    once: bool = False,
-    out=None,
-    clear: bool = True,
-) -> int:
-    """``repro obs watch <dir>``: render ``live.json`` in place.
-
-    Loops until interrupted (Ctrl-C) unless ``once``; returns a CLI
-    exit code.  ``out`` defaults to ``sys.stdout`` (injectable for
-    tests).
-    """
-    import sys
-
-    stream = sys.stdout if out is None else out
-    path = Path(bundle_dir) / "live.json"
-    try:
-        while True:
-            if path.exists():
-                try:
-                    snap = json.loads(path.read_text(encoding="utf-8"))
-                    body = render_watch(snap)
-                except (json.JSONDecodeError, OSError):
-                    body = f"(unreadable snapshot at {path}; retrying)"
-            else:
-                body = f"(waiting for {path})"
-            if clear and not once:
-                stream.write("\x1b[2J\x1b[H")
-            stream.write(body + "\n")
-            stream.flush()
-            if once:
-                return 0
-            time.sleep(interval_s)
-    except KeyboardInterrupt:
-        return 0

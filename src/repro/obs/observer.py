@@ -16,8 +16,7 @@ writer that serializes all of them into one directory::
       live.json        # latest live snapshot (only with live export on)
       report.md        # rendered human-readable summary
 
-Engines take ``obs=Observer(...)`` (or a frozen :class:`ObsConfig` via
-``CGAConfig.obs``) and attach through the
+Engines take ``obs=Observer(...)`` and attach through the
 :class:`~repro.cga.hooks.EngineHooks` protocol; with ``obs=None`` no
 collector object is ever constructed and the hot paths run their
 uninstrumented branches.
@@ -50,43 +49,14 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_US, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import Tracer
 
-__all__ = ["ObsConfig", "Observer", "WorkerObs", "resolve_observer"]
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """Declarative observer settings, embeddable in ``CGAConfig.obs``.
-
-    A frozen value object so configs stay hashable/comparable; engines
-    materialize it into a live :class:`Observer` at construction and
-    finalize the bundle automatically on stop.
-    """
-
-    out: str | None = None
-    trace: bool = True
-    sample_every_evals: int | None = 256
-    sample_every_s: float | None = None
-    live: bool = False
-    live_port: int | None = None
-    live_every_s: float = 0.5
-    stall_deadline_s: float | None = None
-    grid: bool = True
-    flight: bool = False
-    resources: bool = False
-    resource_every_s: float = 0.5
-    stack_sample_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_every_evals is None and self.sample_every_s is None:
-            raise ValueError("ObsConfig needs at least one sampling cadence")
+__all__ = ["Observer", "WorkerObs"]
 
 
 class Observer:
@@ -134,7 +104,6 @@ class Observer:
         trace: bool = True,
         sample_every_evals: int | None = 256,
         sample_every_s: float | None = None,
-        histogram_bounds=DEFAULT_LATENCY_BUCKETS_US,
         live: bool = False,
         live_port: int | None = None,
         live_every_s: float = 0.5,
@@ -146,7 +115,7 @@ class Observer:
         stack_sample_s: float | None = None,
     ):
         self.out = Path(out) if out is not None else None
-        self.registry = MetricsRegistry(histogram_bounds)
+        self.registry = MetricsRegistry()
         self.tracer = Tracer() if trace else None
         stream_to = None
         if self.out is not None:
@@ -208,34 +177,12 @@ class Observer:
                 self.out, "main", ring=self.flight, resources=self.resources
             )
             self.flight.record("budget.start")
-        #: finalize the bundle automatically when the run ends (set by
-        #: :meth:`from_config` so config-driven telemetry needs no manual
-        #: finalize call)
+        #: finalize the bundle automatically when the run ends (the
+        #: experiment harnesses set it, so their per-run bundles need no
+        #: manual finalize call)
         self.auto_finalize = False
         self._finalized: dict[str, Path] | None = None
         self._proc_obs_stopped = False
-
-    @classmethod
-    def from_config(cls, config: ObsConfig) -> "Observer":
-        """Materialize an :class:`ObsConfig`; the bundle auto-finalizes
-        when the engine's ``on_stop`` hook fires."""
-        obs = cls(
-            out=config.out,
-            trace=config.trace,
-            sample_every_evals=config.sample_every_evals,
-            sample_every_s=config.sample_every_s,
-            live=config.live,
-            live_port=config.live_port,
-            live_every_s=config.live_every_s,
-            stall_deadline_s=config.stall_deadline_s,
-            grid=config.grid,
-            flight=config.flight,
-            resources=config.resources,
-            resource_every_s=config.resource_every_s,
-            stack_sample_s=config.stack_sample_s,
-        )
-        obs.auto_finalize = True
-        return obs
 
     # -- collection API -------------------------------------------------
     def recorder(self, thread: str | int):
@@ -704,17 +651,3 @@ class WorkerObs:
                     pass
         return False
 
-
-def resolve_observer(config, obs) -> "Observer | None":
-    """The engine-side obs resolution rule.
-
-    An explicitly passed :class:`Observer` wins; otherwise a frozen
-    ``config.obs`` :class:`ObsConfig` (when the config carries one) is
-    materialized with auto-finalize semantics.
-    """
-    if obs is not None:
-        return obs
-    cfg = getattr(config, "obs", None)
-    if cfg is not None:
-        return Observer.from_config(cfg)
-    return None

@@ -1,12 +1,11 @@
 """``repro obs top``: live search-dynamics dashboard in the terminal.
 
-The ``watch`` view (:mod:`repro.obs.live`) prints runtime progress;
-``top`` renders the *algorithm*: a per-cell fitness heatmap of the
-toroidal grid, the operator success rates from the ``op.*``
-attribution counters, and throughput/heartbeat/stall state — all read
-from the same :class:`~repro.obs.live.LivePublisher` outputs, so the
-dashboard costs a running engine nothing beyond the publisher it
-already pays for.
+``top`` renders the run and the *algorithm*: throughput, heartbeat
+and stall state, process resources, a per-cell fitness heatmap of the
+toroidal grid and the operator success rates from the ``op.*``
+attribution counters — all read from the
+:class:`~repro.obs.live.LivePublisher` outputs, so the dashboard costs
+a running engine nothing beyond the publisher it already pays for.
 
 Three source spellings are accepted::
 
@@ -131,6 +130,21 @@ def render_frame(snap: dict) -> str:
         if active_stalls:
             line += f"  [STALLS: {active_stalls}]"
         lines.append(line)
+
+    res = snap.get("resources")
+    if res:
+        parts = [
+            f"{label} {res[key]:g}{unit}"
+            for key, label, unit in (
+                ("rss_mb", "rss", "MB"),
+                ("peak_rss_mb", "peak rss", "MB"),
+                ("cpu_s", "cpu", "s"),
+                ("fds", "fds", ""),
+                ("shm_mb", "shm", "MB"),
+            )
+            if key in res
+        ]
+        lines.append("resources  " + "  ".join(parts))
 
     attribution = attribution_summary(counters)
     if attribution:

@@ -8,7 +8,7 @@ from a slow one.  This module makes that failure mode observable:
 
 * :class:`HeartbeatBoard` — one monotone counter per worker, bumped by
   the worker itself once per block sweep (a plain ``list[int]`` for
-  threads, a fork-shared ``RawArray`` for the process engine).  Beats
+  threads, a fork-shared ``RawArray`` for the shm engine).  Beats
   are single element writes with no locks, so the board follows the
   same no-shared-contention rule as :mod:`repro.obs.metrics`.
 * :class:`Watchdog` — a monitor (pollable, or running on its own

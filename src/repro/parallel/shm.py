@@ -182,9 +182,9 @@ class ShmBlockPACGA:
         Operator names must have batch kernels (``ValueError`` at
         construction otherwise — same rule as the vectorized engine).
     seed:
-        Root of the per-worker seed tree (same topology as threads /
-        processes: stream 0 initializes the population, streams 1..n
-        drive the workers).
+        Root of the per-worker seed tree (same topology as threads:
+        stream 0 initializes the population, streams 1..n drive the
+        workers).
     obs:
         Optional :class:`repro.obs.Observer`; workers record private
         metrics shipped back over a queue at exit, heartbeats live on a

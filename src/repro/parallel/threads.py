@@ -70,8 +70,8 @@ class ThreadedPACGA:
         run additionally publishes ``live.json``/OpenMetrics and runs
         the worker-heartbeat watchdog.
     hooks:
-        Optional :class:`~repro.cga.hooks.EngineHooks` (or bare
-        callable); this engine dispatches ``on_stall`` (from the
+        Optional :class:`~repro.cga.hooks.EngineHooks`; this engine
+        dispatches ``on_stall`` (from the
         watchdog monitor thread) and ``on_stop``.
     lockstep:
         Run the workers serialized in deterministic round-robin order

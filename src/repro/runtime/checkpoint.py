@@ -1,9 +1,9 @@
 """Universal checkpoint/resume (format v3) for every registered engine.
 
-Format v1 (``repro.cga.checkpoint``) snapshotted the sequential engines
-only: population arrays plus one RNG state, with the config stored as a
-``repr`` string.  Format v2 generalized the snapshot to *every* engine
-in the registry; format v3 additionally stamps the registered problem
+Format v1 snapshotted the sequential engines only: population arrays
+plus one RNG state, with the config stored as a ``repr`` string.
+Format v2 generalized the snapshot to *every* engine in the registry;
+format v3 additionally stamps the registered problem
 (``repro.problems``) so a resumed run rebuilds its instance through the
 right workload loader:
 
@@ -74,7 +74,7 @@ def spec_for(engine) -> EngineSpec:
 # config (de)serialization
 # ---------------------------------------------------------------------------
 def config_to_dict(config: CGAConfig) -> dict:
-    """``CGAConfig`` as a plain JSON-safe dictionary (obs nested)."""
+    """``CGAConfig`` as a plain JSON-safe dictionary."""
     return asdict(config)
 
 
@@ -89,6 +89,13 @@ def config_from_dict(data: dict) -> CGAConfig:
     data = dict(data)
     # v2 checkpoints predate the problems layer: they are all independent
     data.setdefault("problem", "independent")
+    # checkpoints written while the config had an ``obs`` field carry
+    # ``"obs": null`` (no CLI or serve run ever set it)
+    if data.pop("obs", None) is not None:
+        raise ValueError(
+            "invalid checkpoint configuration: telemetry (obs) is no longer "
+            "part of CGAConfig; pass obs=Observer(...) to the engine instead"
+        )
     known = {f.name for f in fields(CGAConfig)}
     unknown = sorted(set(data) - known)
     missing = sorted(known - set(data))
@@ -99,13 +106,8 @@ def config_from_dict(data: dict) -> CGAConfig:
         if missing:
             parts.append(f"missing fields: {', '.join(missing)}")
         raise ValueError(f"invalid checkpoint configuration ({'; '.join(parts)})")
-    obs = data.pop("obs", None)
-    if obs is not None:
-        from repro.obs.observer import ObsConfig
-
-        obs = ObsConfig(**obs)
     try:
-        return CGAConfig(obs=obs, **data)
+        return CGAConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid checkpoint configuration: {exc}") from None
 
@@ -164,15 +166,14 @@ def _restore_population(engine, s, ct, fitness) -> None:
     pop.fitness[:] = fitness
 
 
-def restore_state(engine, state: dict, resume: bool = True) -> None:
+def restore_state(engine, state: dict) -> None:
     """Restore a :func:`capture_state` snapshot in place.
 
     The engine must have been constructed with the same instance and
-    configuration; both are verified before anything is touched.  With
-    ``resume=True`` the engine's next ``run`` continues the logical run
-    (counters, history and — for the simulator — scheduler clocks pick
-    up where the snapshot left off); ``resume=False`` restores the
-    stochastic state only.
+    configuration; both are verified before anything is touched.  The
+    engine's next ``run`` continues the logical run (counters, history
+    and — for the simulator — scheduler clocks pick up where the
+    snapshot left off).
     """
     version = state.get("format_version")
     if version not in _COMPATIBLE_VERSIONS:
@@ -203,7 +204,7 @@ def restore_state(engine, state: dict, resume: bool = True) -> None:
     engine.restore_state(
         {
             "rng_streams": state["rng_streams"],
-            "progress": state.get("progress") if resume else None,
+            "progress": state.get("progress"),
         }
     )
 

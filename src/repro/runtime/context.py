@@ -263,9 +263,7 @@ def build_context(
     ctx.pop = init_population(
         instance, grid, config, init_rng, ops.fitness, arrays=pop_arrays
     )
-    from repro.obs.observer import resolve_observer  # cheap, no cycles
-
-    ctx.obs = resolve_observer(config, obs)
+    ctx.obs = obs
     return ctx
 
 
@@ -283,7 +281,7 @@ def attach_runtime(
 
     ``counts`` is a lock-free provider of ``(generation, evaluations)``
     progress; ``counters``/``done`` optionally supply shared-memory
-    backing for the heartbeat board (the process engine's fork-shared
+    backing for the heartbeat board (the shm engine's fork-shared
     RawArrays).  Returns the board, or None when the observer requests
     no runtime attachment (the run loop then stays untouched).
     """

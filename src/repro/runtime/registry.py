@@ -165,7 +165,7 @@ register_engine(
         qualname="AsyncCGA",
         summary="canonical asynchronous CGA (Algorithm 1, fixed line sweep)",
         seed_param="rng",
-        extra_kwargs=("record_history", "on_generation"),
+        extra_kwargs=("record_history", "hooks"),
     )
 )
 register_engine(
@@ -175,7 +175,7 @@ register_engine(
         qualname="SyncCGA",
         summary="synchronous CGA (auxiliary population, one swap per generation)",
         seed_param="rng",
-        extra_kwargs=("record_history", "on_generation"),
+        extra_kwargs=("record_history", "hooks"),
     )
 )
 register_engine(
@@ -186,7 +186,7 @@ register_engine(
         summary="synchronous CGA over whole-population NumPy batch kernels",
         seed_param="rng",
         batch=True,
-        extra_kwargs=("record_history", "on_generation"),
+        extra_kwargs=("record_history", "hooks"),
     )
 )
 register_engine(

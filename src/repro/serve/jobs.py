@@ -97,7 +97,7 @@ def validate_job(payload: dict) -> dict:
     by constructing the :class:`~repro.cga.config.StopCondition`.
     """
     from repro.cga.config import CGAConfig, StopCondition
-    from repro.problems import problem_names, resolve_problem
+    from repro.problems import resolve_problem
     from repro.runtime.registry import resolve_engine
 
     if not isinstance(payload, dict):
@@ -121,12 +121,11 @@ def validate_job(payload: dict) -> dict:
     overrides = payload.get("config") or {}
     if not isinstance(overrides, dict):
         raise JobValidationError("'config' must be an object of CGAConfig overrides")
-    reserved = {"problem", "obs"}
-    bad = sorted((set(overrides) - {f.name for f in fields(CGAConfig)}) | (set(overrides) & reserved))
+    bad = sorted(set(overrides) - ({f.name for f in fields(CGAConfig)} - {"problem"}))
     if bad:
         raise JobValidationError(
             f"invalid config overrides: {', '.join(bad)} "
-            "(any CGAConfig field except 'problem'/'obs')"
+            "(any CGAConfig field except 'problem')"
         )
     try:
         config = CGAConfig(problem=problem.name, **overrides)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cga import AsyncCGA, CGAConfig, StopCondition
-from repro.cga.checkpoint import (
-    engine_state,
-    load_checkpoint,
-    restore_engine,
+from repro.runtime.checkpoint import (
+    capture_state,
+    load_state,
+    restore_state,
     save_checkpoint,
 )
 
@@ -22,11 +22,12 @@ class TestExactResume:
 
         first = AsyncCGA(small_instance, CFG, rng=5)
         first.run(StopCondition(max_generations=5))
-        state = engine_state(first)
+        state = capture_state(first)
 
         resumed = AsyncCGA(small_instance, CFG, rng=999)  # wrong seed on purpose
-        restore_engine(resumed, state)
-        res_resumed = resumed.run(StopCondition(max_generations=5))
+        restore_state(resumed, state)
+        # the counters continue, so the budget is the cumulative one
+        res_resumed = resumed.run(StopCondition(max_generations=10))
 
         assert res_resumed.best_fitness == res_straight.best_fitness
         assert np.array_equal(res_resumed.best_assignment, res_straight.best_assignment)
@@ -39,7 +40,7 @@ class TestExactResume:
         save_checkpoint(eng, path)
 
         other = AsyncCGA(small_instance, CFG, rng=2)
-        load_checkpoint(other, path)
+        restore_state(other, load_state(path))
         assert np.array_equal(other.pop.s, eng.pop.s)
         assert other.rng.random() == eng.rng.random()
 
@@ -65,39 +66,39 @@ class TestExactResume:
         save_checkpoint(eng, path)
         tmp = str(path.with_name(path.name + ".tmp"))
         assert events == [("fsync", tmp), ("replace", tmp)]
-        load_checkpoint(AsyncCGA(small_instance, CFG, rng=2), path)
+        restore_state(AsyncCGA(small_instance, CFG, rng=2), load_state(path))
 
 
 class TestValidation:
     def test_rejects_config_mismatch(self, small_instance):
         eng = AsyncCGA(small_instance, CFG, rng=1)
-        state = engine_state(eng)
+        state = capture_state(eng)
         other = AsyncCGA(small_instance, CFG.with_(ls_iterations=9), rng=1)
         with pytest.raises(ValueError, match="configuration"):
-            restore_engine(other, state)
+            restore_state(other, state)
 
     def test_rejects_instance_mismatch(self, small_instance, tiny_instance):
         # same grid shapes, different instance names
         eng = AsyncCGA(small_instance, CFG, rng=1)
-        state = engine_state(eng)
+        state = capture_state(eng)
         other = AsyncCGA(tiny_instance, CFG, rng=1)
         with pytest.raises(ValueError, match="instance"):
-            restore_engine(other, state)
+            restore_state(other, state)
 
     def test_rejects_unknown_version(self, small_instance):
         eng = AsyncCGA(small_instance, CFG, rng=1)
-        state = engine_state(eng)
+        state = capture_state(eng)
         state["format_version"] = 42
         with pytest.raises(ValueError, match="version"):
-            restore_engine(eng, state)
+            restore_state(eng, state)
 
     def test_population_intact_after_failed_restore(self, small_instance, tiny_instance):
         eng = AsyncCGA(small_instance, CFG, rng=1)
-        state = engine_state(eng)
+        state = capture_state(eng)
         other = AsyncCGA(tiny_instance, CFG, rng=1)
         before = other.pop.s.copy()
         with pytest.raises(ValueError):
-            restore_engine(other, state)
+            restore_state(other, state)
         assert np.array_equal(other.pop.s, before)
 
 
@@ -106,7 +107,7 @@ class TestStateContents:
         import json
 
         eng = AsyncCGA(small_instance, CFG, rng=1)
-        state = engine_state(eng)
+        state = capture_state(eng)
         text = json.dumps(state)
         assert "rng_streams" in text
         assert state["format_version"] == 3
@@ -118,7 +119,7 @@ class TestStateContents:
     def test_v1_checkpoint_is_rejected(self, small_instance):
         # hand-build a format-1 state (what the old module wrote): both
         # entry points refuse it instead of half-restoring it
-        from repro.runtime.checkpoint import restore_state, resume_engine
+        from repro.runtime.checkpoint import resume_engine
 
         eng = AsyncCGA(small_instance, CFG, rng=7)
         v1 = {
@@ -141,5 +142,35 @@ class TestStateContents:
         eng.run(StopCondition(max_generations=4))
         save_checkpoint(eng, tmp_path / "c.json")
         fresh = AsyncCGA(small_instance, CFG, rng=0)
-        load_checkpoint(fresh, tmp_path / "c.json")
+        restore_state(fresh, load_state(tmp_path / "c.json"))
         fresh.pop.check_invariants()
+
+
+class TestLegacyObsKey:
+    """Checkpoints written while ``CGAConfig`` had an ``obs`` field carry
+    ``"obs": null``; they still load, and a non-null value is refused."""
+
+    def test_null_obs_key_restores_and_resumes_bit_exactly(self, small_instance):
+        straight = AsyncCGA(small_instance, CFG, rng=5)
+        res_straight = straight.run(StopCondition(max_generations=10))
+
+        first = AsyncCGA(small_instance, CFG, rng=5)
+        first.run(StopCondition(max_generations=5))
+        state = capture_state(first)
+        state["config"]["obs"] = None
+
+        resumed = AsyncCGA(small_instance, CFG, rng=999)
+        restore_state(resumed, state)
+        res_resumed = resumed.run(StopCondition(max_generations=10))
+
+        assert res_resumed.best_fitness == res_straight.best_fitness
+        assert res_resumed.evaluations == res_straight.evaluations
+        assert np.array_equal(resumed.pop.s, straight.pop.s)
+        assert np.array_equal(resumed.pop.fitness, straight.pop.fitness)
+
+    def test_non_null_obs_key_is_rejected(self, small_instance):
+        eng = AsyncCGA(small_instance, CFG, rng=1)
+        state = capture_state(eng)
+        state["config"]["obs"] = {"out": "/tmp/x"}
+        with pytest.raises(ValueError, match="telemetry"):
+            restore_state(AsyncCGA(small_instance, CFG, rng=1), state)

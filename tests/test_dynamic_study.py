@@ -5,7 +5,6 @@ import pytest
 
 from repro.dynamic.events import BatchArrival, MachineJoin, MachineLeave
 from repro.experiments.dynamic_study import (
-    DynamicStudyResult,
     dynamic_study,
     minmin_rescheduler,
     random_timeline,

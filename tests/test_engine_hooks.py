@@ -1,5 +1,4 @@
-"""Tests for the engine lifecycle hooks (and the legacy bare-callable
-``on_generation`` compatibility path)."""
+"""Tests for the engine lifecycle hooks (``hooks=EngineHooks(...)``)."""
 
 import pytest
 
@@ -16,7 +15,7 @@ class TestOnGeneration:
         calls = []
         eng = AsyncCGA(
             tiny_instance, CFG, rng=0,
-            on_generation=lambda e, g, ev: calls.append((g, ev)),
+            hooks=EngineHooks(on_generation=lambda e, g, ev: calls.append((g, ev))),
         )
         eng.run(StopCondition(max_generations=5))
         assert [g for g, _ in calls] == [1, 2, 3, 4, 5]
@@ -26,7 +25,7 @@ class TestOnGeneration:
         calls = []
         eng = AsyncCGA(
             tiny_instance, CFG, rng=0,
-            on_generation=lambda e, g, ev: calls.append(g),
+            hooks=EngineHooks(on_generation=lambda e, g, ev: calls.append(g)),
         )
         eng.run(StopCondition(max_generations=1))
         assert calls == [1]
@@ -35,8 +34,10 @@ class TestOnGeneration:
         traces = []
         eng = AsyncCGA(
             tiny_instance, CFG, rng=0,
-            on_generation=lambda e, g, ev: traces.append(
-                diversity_report(e.pop)["hamming"]
+            hooks=EngineHooks(
+                on_generation=lambda e, g, ev: traces.append(
+                    diversity_report(e.pop)["hamming"]
+                )
             ),
         )
         eng.run(StopCondition(max_generations=4))
@@ -47,7 +48,7 @@ class TestOnGeneration:
         calls = []
         eng = SyncCGA(
             tiny_instance, CFG, rng=0,
-            on_generation=lambda e, g, ev: calls.append(g),
+            hooks=EngineHooks(on_generation=lambda e, g, ev: calls.append(g)),
         )
         eng.run(StopCondition(max_generations=3))
         assert calls == [1, 2, 3]
@@ -61,14 +62,16 @@ class TestOnGeneration:
         def immigrant(engine, gen, evals):
             engine.pop.write_individual(0, seed.s.copy(), seed.ct.copy(), seed.makespan())
 
-        eng = AsyncCGA(tiny_instance, CFG, rng=0, on_generation=immigrant)
+        eng = AsyncCGA(
+            tiny_instance, CFG, rng=0, hooks=EngineHooks(on_generation=immigrant)
+        )
         eng.run(StopCondition(max_generations=3))
         eng.pop.check_invariants()
         assert eng.pop.fitness.min() <= seed.makespan()
 
     def test_none_hook_is_default(self, tiny_instance):
         eng = AsyncCGA(tiny_instance, CFG, rng=0)
-        assert eng.on_generation is None
+        assert eng.hooks.on_generation is None
         eng.run(StopCondition(max_generations=1))
 
 
@@ -79,20 +82,16 @@ class TestAsHooks:
         assert hooks.on_improvement is None
         assert hooks.on_stop is None
 
-    def test_callable_becomes_on_generation(self):
-        def f(e, g, ev):
-            return None
-        hooks = as_hooks(f)
-        assert hooks.on_generation is f
-        assert hooks.on_stop is None
-
     def test_hooks_pass_through_unchanged(self):
         hooks = EngineHooks(on_stop=lambda e, r: None)
         assert as_hooks(hooks) is hooks
 
-    def test_rejects_non_callables(self):
+    def test_rejects_non_hooks(self):
         with pytest.raises(TypeError):
             as_hooks(42)
+        # a bare function is not promoted to the on_generation slot
+        with pytest.raises(TypeError):
+            as_hooks(lambda e, g, ev: None)
 
 
 class TestHookProtocol:
@@ -103,7 +102,7 @@ class TestHookProtocol:
             on_improvement=lambda e, g, ev, best: events["improved"].append(best),
             on_stop=lambda e, r: events["stopped"].append(r),
         )
-        eng = AsyncCGA(tiny_instance, CFG, rng=0, on_generation=hooks)
+        eng = AsyncCGA(tiny_instance, CFG, rng=0, hooks=hooks)
         res = eng.run(StopCondition(max_generations=5))
         assert events["gen"] == [1, 2, 3, 4, 5]
         # an improvement event carries the new strictly-better best
@@ -120,22 +119,13 @@ class TestHookProtocol:
         hooks = EngineHooks(
             on_improvement=lambda e, g, ev, best: improved.append((g, best))
         )
-        eng = AsyncCGA(tiny_instance, CFG, rng=0, on_generation=hooks)
+        eng = AsyncCGA(tiny_instance, CFG, rng=0, hooks=hooks)
         eng.run(StopCondition(max_generations=3))
         assert all(g >= 1 for g, _ in improved)
-
-    def test_on_generation_property_setter(self, tiny_instance):
-        # legacy attribute assignment after construction still works
-        eng = AsyncCGA(tiny_instance, CFG, rng=0)
-        calls = []
-        eng.on_generation = lambda e, g, ev: calls.append(g)
-        assert eng.on_generation is not None
-        eng.run(StopCondition(max_generations=2))
-        assert calls == [1, 2]
 
     def test_works_on_sync_engine(self, tiny_instance):
         stopped = []
         hooks = EngineHooks(on_stop=lambda e, r: stopped.append(r.generations))
-        eng = SyncCGA(tiny_instance, CFG, rng=0, on_generation=hooks)
+        eng = SyncCGA(tiny_instance, CFG, rng=0, hooks=hooks)
         eng.run(StopCondition(max_generations=2))
         assert stopped == [2]

@@ -527,12 +527,3 @@ class TestObsCli:
         run.write_text(json.dumps(make_row(evals_per_s=100.0)))
         assert main(["obs", "check", str(run), "--baseline", str(bench)]) == 1
         capsys.readouterr()
-
-    def test_watch_once_cli(self, tmp_path, capsys):
-        from repro.cli import main
-
-        (tmp_path / "live.json").write_text(
-            json.dumps({"updated_t_s": 1.0, "meta": {}, "progress": {}, "metrics": {}})
-        )
-        assert main(["obs", "watch", str(tmp_path), "--once"]) == 0
-        assert "live run" in capsys.readouterr().out

@@ -9,7 +9,6 @@ import pytest
 from repro.cga import AsyncCGA, CGAConfig, StopCondition
 from repro.cga.vectorized import VectorizedSyncCGA
 from repro.obs import (
-    ObsConfig,
     Observer,
     load_bundle,
     load_grid_rows,
@@ -17,7 +16,6 @@ from repro.obs import (
     render_terminal,
 )
 from repro.obs.metrics import MetricRecorder
-from repro.obs.observer import resolve_observer
 from repro.parallel import SimulatedPACGA, ThreadedPACGA
 from repro.parallel.shm import ShmBlockPACGA
 
@@ -195,24 +193,19 @@ class TestSimulatedBundle:
         assert waits == pytest.approx(res.extra["conflict_wait_s"])
 
 
-class TestConfigDriven:
-    def test_obsconfig_auto_finalizes(self, tiny_instance, tmp_path):
+class TestAutoFinalize:
+    def test_auto_finalize_writes_bundle_on_stop(self, tiny_instance, tmp_path):
         out = tmp_path / "auto"
-        cfg = CFG.with_(obs=ObsConfig(out=str(out), sample_every_evals=36))
-        AsyncCGA(tiny_instance, cfg, rng=0).run(StopCondition(max_evaluations=72))
+        obs = Observer(out=out, sample_every_evals=36)
+        obs.auto_finalize = True
+        eng = AsyncCGA(tiny_instance, CFG, rng=0, obs=obs)
+        eng.run(StopCondition(max_evaluations=72))
         # no manual finalize: the on_stop hook wrote the bundle
         assert {p.name for p in out.iterdir()} == BUNDLE_FILES
 
-    def test_obsconfig_validates_cadence(self):
+    def test_observer_validates_cadence(self):
         with pytest.raises(ValueError):
-            ObsConfig(sample_every_evals=None, sample_every_s=None)
-
-    def test_explicit_observer_wins(self, tiny_instance):
-        cfg = CFG.with_(obs=ObsConfig(sample_every_evals=36))
-        mine = Observer(out=None)
-        assert resolve_observer(cfg, mine) is mine
-        assert resolve_observer(cfg, None) is not None
-        assert resolve_observer(CFG, None) is None
+            Observer(sample_every_evals=None, sample_every_s=None)
 
 
 class TestZeroOverheadWhenDisabled:

@@ -1,6 +1,5 @@
 """Live export: OpenMetrics rendering, atomic live.json, HTTP endpoint."""
 
-import io
 import json
 import threading
 import urllib.error
@@ -15,8 +14,6 @@ from repro.obs.live import (
     LivePublisher,
     atomic_write_json,
     render_openmetrics,
-    render_watch,
-    watch,
 )
 from repro.parallel import ThreadedPACGA
 
@@ -144,9 +141,9 @@ class TestLivePublisher:
             res = snap["resources"]
             assert res["rss_mb"] > 0
             assert res["peak_rss_mb"] >= res["rss_mb"] - 1.0
-            from repro.obs.live import render_watch
+            from repro.obs.top import render_frame
 
-            assert "resources" in render_watch(snap)
+            assert "resources  rss " in render_frame(snap)
         finally:
             obs.finalize()
 
@@ -241,36 +238,3 @@ class TestLivePublisher:
         assert bodies and "repro_run_evaluations" in bodies[0]
         assert obs.publisher is None  # torn down with the run
 
-
-class TestWatchView:
-    SNAP = {
-        "updated_t_s": 3.2,
-        "meta": {"engine": "threads", "instance": "tiny", "n_threads": 2},
-        "progress": {
-            "generation": 5,
-            "evaluations": 720,
-            "best": 81.25,
-            "evals_per_s": 225.0,
-            "heartbeats": [5, 6],
-            "workers_done": [0, 1],
-        },
-        "metrics": {"counters": {"breeding.evaluations": 720.0, "watchdog.stalls": 1.0}},
-    }
-
-    def test_render_watch(self):
-        text = render_watch(self.SNAP)
-        assert "engine=threads" in text
-        assert "evaluations : 720" in text
-        assert "w0:5 (live)" in text and "w1:6 (done)" in text
-        assert "stalls      : 1" in text
-
-    def test_watch_once(self, tmp_path):
-        (tmp_path / "live.json").write_text(json.dumps(self.SNAP))
-        buf = io.StringIO()
-        assert watch(tmp_path, once=True, out=buf) == 0
-        assert "engine=threads" in buf.getvalue()
-
-    def test_watch_once_waiting(self, tmp_path):
-        buf = io.StringIO()
-        assert watch(tmp_path, once=True, out=buf) == 0
-        assert "waiting for" in buf.getvalue()

@@ -9,7 +9,7 @@ grows its own list again.
 import numpy as np
 import pytest
 
-from repro.cga import SEQUENTIAL_ENGINES, CGAConfig, StopCondition
+from repro.cga import SEQUENTIAL_ENGINES, CGAConfig, EngineHooks, StopCondition
 from repro.runtime.registry import (
     ENGINE_SPECS,
     EngineSpec,
@@ -115,3 +115,32 @@ class TestNoDrift:
         )
         assert result.update == "pacga-sim"
         assert len(result.proportions) >= 2
+
+
+#: every registered engine that takes lifecycle hooks
+HOOKED_ENGINES = [s.name for s in ENGINE_SPECS.values() if "hooks" in s.extra_kwargs]
+
+
+class TestHooksKeyword:
+    def test_no_engine_takes_on_generation(self):
+        for spec in ENGINE_SPECS.values():
+            assert "on_generation" not in spec.extra_kwargs, spec.name
+
+    @pytest.mark.parametrize("name", HOOKED_ENGINES)
+    def test_on_stop_fires_once_with_result(self, name, tiny_instance):
+        spec = ENGINE_SPECS[name]
+        cfg = CGAConfig(
+            grid_rows=4,
+            grid_cols=4,
+            ls_iterations=1,
+            seed_with_minmin=False,
+            n_threads=2 if spec.threaded else 1,
+        )
+        extras = {"lockstep": True} if "lockstep" in spec.extra_kwargs else {}
+        stopped = []
+        hooks = EngineHooks(on_stop=lambda e, r: stopped.append((e, r)))
+        eng = create_engine(name, tiny_instance, cfg, seed=0, hooks=hooks, **extras)
+        res = eng.run(StopCondition(max_generations=2))
+        assert len(stopped) == 1
+        assert stopped[0][0] is eng
+        assert stopped[0][1] is res

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments.sensitivity import (
     PARAMETERS,
-    SensitivityResult,
     claims_hold,
     sensitivity_analysis,
 )

@@ -142,6 +142,11 @@ class TestValidateJob:
         with pytest.raises(JobValidationError, match="single-stream"):
             validate_job({"engine": "sync", "config": {"n_threads": 3}})
 
+    def test_obs_override_rejected(self):
+        # a remote client must not choose a server-side telemetry path
+        with pytest.raises(JobValidationError, match="invalid config overrides: obs"):
+            validate_job({"config": {"obs": {"out": "/tmp/x"}}})
+
     def test_budget_validated_against_stopcondition(self):
         with pytest.raises(JobValidationError, match="invalid budget bounds: walltime"):
             validate_job({"budget": {"walltime": 3}})
