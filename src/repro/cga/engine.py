@@ -10,6 +10,12 @@ only in scheduling and synchronization, never in genetics.
 with one thread *is* this algorithm.  :class:`SyncCGA` is the
 synchronous variant (offspring written to an auxiliary population,
 swapped once per generation), used by the async-vs-sync ablation.
+
+Run loop: :meth:`_EngineBase.run` is the one run skeleton of the
+sequential engines (async, sync and the vectorized engine in
+:mod:`repro.cga.vectorized`) — resume, budget, live runtime and
+heartbeat, snapshots, hooks, checkpoints and the result.  Each engine
+supplies only ``_generation(budget)``, one generation of breeding.
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ class RunResult:
 
 
 class _EngineBase:
-    """Shared setup for the sequential engines.
+    """Shared setup and run loop for the sequential engines.
 
     Setup (operator resolution, population init, RNG, observer) is the
     runtime's :func:`~repro.runtime.context.build_context`; the engine
@@ -218,26 +224,6 @@ class _EngineBase:
 
             self.ops = instrumented_ops(self.ops, self.obs.recorder("main"))
             self._obs_hooks = self.obs.engine_hooks()
-
-    def _start_runtime(self):
-        """Attach the observer's live publisher/watchdog for this run.
-
-        The sequential engines are their own single "worker": the
-        heartbeat advances once per generation, so a generation loop
-        stuck inside one breeding step (a hung fitness function, a
-        livelocked local search) is flagged by the watchdog's monitor
-        thread.  Returns the heartbeat board, or None when the observer
-        requests no runtime attachment (then the loop stays untouched).
-        """
-        self._live_state = {"generation": 0, "evaluations": 0}
-        return attach_runtime(
-            self,
-            1,
-            lambda: (self._live_state["generation"], self._live_state["evaluations"]),
-        )
-
-    def _stop_runtime(self, board) -> None:
-        detach_runtime(self, board, mark_done=(0,))
 
     # -- checkpoint protocol (runtime.checkpoint) ------------------------
     def arm_checkpoint(self, every: int | None, saver: Callable | None) -> None:
@@ -307,6 +293,50 @@ class _EngineBase:
             if obs_hooks is not None and obs_hooks.on_generation is not None:
                 obs_hooks.on_generation(self, generation, evaluations)
 
+    def run(self, stop: StopCondition) -> RunResult:
+        """Evolve until ``stop`` triggers; returns the run trace.
+
+        The one run loop of the sequential engines: resume, budget,
+        live runtime, snapshots, hooks and checkpoints live here, and
+        each generation is the subclass's :meth:`_generation`.
+        """
+        resume = self._consume_resume()
+        history: list[tuple[int, int, float, float]] = (
+            resume["history"] if resume else []
+        )
+        budget = self._budget = Budget(
+            stop,
+            evaluations=resume["evaluations"] if resume else 0,
+            generations=resume["generations"] if resume else 0,
+        )
+        self._history = history
+        # the engine is its own single "worker": the heartbeat advances
+        # once per generation, so a generation stuck inside one breeding
+        # step (a hung fitness function, a livelocked local search) is
+        # flagged by the watchdog; board is None without live settings
+        board = attach_runtime(
+            self, 1, lambda: (budget.generations, budget.evaluations)
+        )
+        budget.start()
+        try:
+            if resume is None:
+                self._snapshot(0, 0, history)
+            while True:
+                _, best = self.pop.best()
+                if budget.exhausted(best):
+                    break
+                self._generation(budget)
+                generation = budget.next_generation()
+                if board is not None:
+                    board.beat(0)
+                self._snapshot(generation, budget.evaluations, history)
+                self._maybe_checkpoint(generation)
+        finally:
+            detach_runtime(self, board, mark_done=(0,))
+        return self._result(
+            budget.evaluations, budget.generations, budget.elapsed, history
+        )
+
     def _result(self, evaluations, generations, elapsed, history, **extra) -> RunResult:
         best_idx, best_fit = self.pop.best()
         result = RunResult(
@@ -331,46 +361,14 @@ class AsyncCGA(_EngineBase):
 
     engine_name = "async"
 
-    def run(self, stop: StopCondition) -> RunResult:
-        """Evolve until ``stop`` triggers; returns the run trace."""
-        pop, ops, rng = self.pop, self.ops, self.rng
-        sweep = [int(i) for i in self.sweep]
-        resume = self._consume_resume()
-        history: list[tuple[int, int, float, float]] = (
-            resume["history"] if resume else []
-        )
-        budget = self._budget = Budget(
-            stop,
-            evaluations=resume["evaluations"] if resume else 0,
-            generations=resume["generations"] if resume else 0,
-        )
-        self._history = history
-        board = self._start_runtime()
-        budget.start()
-        if resume is None:
-            self._snapshot(0, 0, history)
-        try:
-            while True:
-                _, best = pop.best()
-                if budget.exhausted(best):
-                    break
-                for idx in sweep:
-                    evolve_individual(pop, idx, self.neighbors[idx], ops, rng)
-                    budget.spend()
-                    if budget.cap_reached():
-                        break
-                generation = budget.next_generation()
-                if board is not None:
-                    board.beat(0)
-                    self._live_state["generation"] = generation
-                    self._live_state["evaluations"] = budget.evaluations
-                self._snapshot(generation, budget.evaluations, history)
-                self._maybe_checkpoint(generation)
-        finally:
-            self._stop_runtime(board)
-        return self._result(
-            budget.evaluations, budget.generations, budget.elapsed, history
-        )
+    def _generation(self, budget: Budget) -> None:
+        """One line sweep, stopping on the exact evaluation cap."""
+        pop, ops, rng, neighbors = self.pop, self.ops, self.rng, self.neighbors
+        for idx in self.sweep.tolist():
+            evolve_individual(pop, idx, neighbors[idx], ops, rng)
+            budget.spend()
+            if budget.cap_reached():
+                break
 
 
 class SyncCGA(_EngineBase):
@@ -383,45 +381,21 @@ class SyncCGA(_EngineBase):
 
     engine_name = "sync"
 
-    def run(self, stop: StopCondition) -> RunResult:
-        """Evolve until ``stop`` triggers; returns the run trace."""
-        pop, ops, rng = self.pop, self.ops, self.rng
-        resume = self._consume_resume()
-        history: list[tuple[int, int, float, float]] = (
-            resume["history"] if resume else []
-        )
-        budget = self._budget = Budget(
-            stop,
-            evaluations=resume["evaluations"] if resume else 0,
-            generations=resume["generations"] if resume else 0,
-        )
-        self._history = history
-        budget.start()
-        if resume is None:
-            self._snapshot(0, 0, history)
-        while True:
-            _, best = pop.best()
-            if budget.exhausted(best):
+    def _generation(self, budget: Budget) -> None:
+        """Breed every cell into an auxiliary population, then swap."""
+        pop, ops, rng, neighbors = self.pop, self.ops, self.rng, self.neighbors
+        aux = pop.clone()
+        # breed against the frozen parent generation (pop), write into
+        # aux so no offspring is visible this generation
+        view = _SyncView(pop, aux)
+        for idx in range(pop.size):
+            evolve_individual(view, idx, neighbors[idx], ops, rng)
+            budget.spend()
+            if budget.cap_reached():
                 break
-            aux = pop.clone()
-            for idx in range(pop.size):
-                # breed against the frozen parent generation (pop), write
-                # into aux so no offspring is visible this generation
-                evolve_individual(
-                    _SyncView(pop, aux), idx, self.neighbors[idx], ops, rng
-                )
-                budget.spend()
-                if budget.cap_reached():
-                    break
-            pop.s[:] = aux.s
-            pop.ct[:] = aux.ct
-            pop.fitness[:] = aux.fitness
-            generation = budget.next_generation()
-            self._snapshot(generation, budget.evaluations, history)
-            self._maybe_checkpoint(generation)
-        return self._result(
-            budget.evaluations, budget.generations, budget.elapsed, history
-        )
+        pop.s[:] = aux.s
+        pop.ct[:] = aux.ct
+        pop.fitness[:] = aux.fitness
 
 
 class _SyncView:

@@ -8,7 +8,9 @@ it is :class:`repro.cga.engine.SyncCGA` — every child is bred against
 the frozen parent generation and the population swaps once per
 generation — but all randomness is drawn in per-generation blocks, so
 a run is statistically (not bitwise) equivalent to the scalar engine
-with the same seed.
+with the same seed.  The run loop itself is the sequential skeleton
+:meth:`repro.cga.engine._EngineBase.run`; this module supplies only the
+batch generation (``breed``, ``copyto``, ``spend``).
 
 Because a generation is a single batch, stop conditions are checked at
 generation granularity: an evaluation budget that is not a multiple of
@@ -27,8 +29,8 @@ import time
 
 import numpy as np
 
-from repro.cga.config import CGAConfig, StopCondition
-from repro.cga.engine import _EngineBase, RunResult
+from repro.cga.config import CGAConfig
+from repro.cga.engine import _EngineBase
 from repro.cga.hooks import EngineHooks
 from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
@@ -59,62 +61,36 @@ class VectorizedSyncCGA(_EngineBase):
     ):
         super().__init__(instance, config, rng, record_history, hooks, obs)
         self._ops = resolve_batch_ops(self.config, problem=self.pop.problem)
-
-    def run(self, stop: StopCondition) -> RunResult:
-        """Evolve whole generations until ``stop`` triggers."""
-        pop, cfg, rng, ops = self.pop, self.config, self.rng, self._ops
-        inst = self.instance
-        P = pop.size
-        cells = np.arange(P)
-        neighbors = self.neighbors
-        resume = self._consume_resume()
-        history: list[tuple[int, int, float, float]] = (
-            resume["history"] if resume else []
-        )
-        budget = self._budget = Budget(
-            stop,
-            evaluations=resume["evaluations"] if resume else 0,
-            generations=resume["generations"] if resume else 0,
-        )
-        self._history = history
-        # phase timings and counters are recorded by breed(); rec is None
-        # on the uninstrumented path
+        self._cells = np.arange(self.pop.size)
+        # phase timings and counters are recorded by breed(); both stay
+        # None on the uninstrumented path
         obs = self.obs
-        rec = obs.recorder("main") if obs is not None else None
-        tracer = obs.thread_tracer(0, "vectorized") if obs is not None else None
-        perf = time.perf_counter
-        budget.start()
-        if resume is None:
-            self._snapshot(0, 0, history)
-        while True:
-            _, best = pop.best()
-            if budget.exhausted(best):
-                break
-            gen_start = perf()
-            # parents are gathered by fancy indexing, which copies the rows
-            child_s, child_ct, child_fit, accept = breed(
-                ops, cfg, inst, rng, cells, neighbors, pop.fitness,
-                lambda ids: (pop.s[ids], pop.ct[ids]),
-                lambda ids: pop.s[ids],
-                rec,
-            )
-            np.copyto(pop.s, child_s, where=accept[:, None])
-            np.copyto(pop.ct, child_ct, where=accept[:, None])
-            np.copyto(pop.fitness, child_fit, where=accept)
-            budget.spend(P)
-            generation = budget.next_generation()
-            if tracer is not None:
-                tracer.complete(
-                    "generation",
-                    gen_start - obs.epoch,
-                    perf() - gen_start,
-                    {"generation": generation},
-                )
-            self._snapshot(generation, budget.evaluations, history)
-            self._maybe_checkpoint(generation)
-        return self._result(
-            budget.evaluations, budget.generations, budget.elapsed, history
+        self._rec = obs.recorder("main") if obs is not None else None
+        self._tracer = obs.thread_tracer(0, "vectorized") if obs is not None else None
+
+    def _generation(self, budget: Budget) -> None:
+        """Breed the whole population in one batch, then swap it in."""
+        pop, rec, tracer = self.pop, self._rec, self._tracer
+        gen_start = time.perf_counter()
+        # parents are gathered by fancy indexing, which copies the rows
+        child_s, child_ct, child_fit, accept = breed(
+            self._ops, self.config, self.instance, self.rng, self._cells,
+            self.neighbors, pop.fitness,
+            lambda ids: (pop.s[ids], pop.ct[ids]),
+            lambda ids: pop.s[ids],
+            rec,
         )
+        np.copyto(pop.s, child_s, where=accept[:, None])
+        np.copyto(pop.ct, child_ct, where=accept[:, None])
+        np.copyto(pop.fitness, child_fit, where=accept)
+        budget.spend(pop.size)
+        if tracer is not None:
+            tracer.complete(
+                "generation",
+                gen_start - self.obs.epoch,
+                time.perf_counter() - gen_start,
+                {"generation": budget.generations + 1},
+            )
 
     def resync_drift(self) -> float:
         """Recompute every CT row from S; return the largest drift.

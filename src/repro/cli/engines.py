@@ -8,9 +8,29 @@ appear everywhere in the CLI without further edits.
 
 from __future__ import annotations
 
+import argparse
+
 from repro.runtime.registry import ENGINE_SPECS, engine_aliases, engine_names
 
-__all__ = ["engine_choices", "alias_epilog", "build_config", "register", "HANDLERS"]
+__all__ = [
+    "engine_choices",
+    "alias_epilog",
+    "build_config",
+    "positive_int",
+    "register",
+    "HANDLERS",
+]
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type=`` for budgets such as ``--evals``: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def engine_choices() -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.cli.engines import positive_int
+
 __all__ = ["register", "HANDLERS"]
 
 
@@ -33,7 +35,7 @@ def register(sub) -> None:
 
     p = sub.add_parser("quality", help="optimality gaps vs the LP bound")
     p.add_argument("--instance", action="append", default=None)
-    p.add_argument("--evals", type=int, default=5000)
+    p.add_argument("--evals", type=positive_int, default=5000)
     p.add_argument("--seed", type=int, default=3)
 
     p = sub.add_parser("calibrate", help="measure this machine's breeding-step costs")

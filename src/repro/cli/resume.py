@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import sys
 
+from repro.cli.engines import positive_int
+
 __all__ = ["register", "HANDLERS"]
 
 
@@ -29,7 +31,7 @@ def register(sub) -> None:
         metavar="FILE",
         help="ETC instance file (required when the checkpoint is not a benchmark)",
     )
-    p.add_argument("--evals", type=int, default=None, help="evaluation budget")
+    p.add_argument("--evals", type=positive_int, default=None, help="evaluation budget")
     p.add_argument(
         "--vtime", type=float, default=None, help="virtual seconds (sim engine)"
     )

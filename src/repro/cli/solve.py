@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.cli.engines import alias_epilog, build_config, engine_choices
+from repro.cli.engines import alias_epilog, build_config, engine_choices, positive_int
 from repro.cli.obsflags import add_obs_arguments, reject_stray_obs_flags
 
 __all__ = ["register", "HANDLERS", "print_result"]
@@ -36,7 +36,7 @@ def register(sub) -> None:
             "--fitness", choices=["makespan", "makespan+flowtime"], default="makespan"
         )
         p.add_argument("--ls-iters", type=int, default=10)
-        p.add_argument("--evals", type=int, default=None, help="evaluation budget")
+        p.add_argument("--evals", type=positive_int, default=None, help="evaluation budget")
         p.add_argument(
             "--vtime", type=float, default=None, help="virtual seconds (sim engine)"
         )

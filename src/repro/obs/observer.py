@@ -346,17 +346,9 @@ class Observer:
             if tt is not None:
                 tt.instant("improvement", {"best": best, "generation": generation})
 
-        def on_stop(engine, result):
-            self.maybe_sample(
-                result.evaluations,
-                lambda: self.engine_row(engine, result.generations, result.evaluations),
-                force=True,
-            )
-            self.record_result(result)
-            if self.auto_finalize:
-                self.finalize()
-
-        return EngineHooks(on_generation, on_improvement, on_stop)
+        # the run's end (final sample, result, auto-finalize) is
+        # runtime.context.finish_run, shared by every engine
+        return EngineHooks(on_generation, on_improvement)
 
     def engine_row(self, engine, generation: int, evaluations: int) -> dict:
         """One canonical time-series row computed from a live engine."""

@@ -53,6 +53,13 @@ the block sweeps round-robin in the calling process — identical
 genetics, streams and budget split, pinned interleaving — which is the
 mode the universal checkpoint layer snapshots and resumes bit-exactly.
 
+Run loops: the checkpoint protocol, counter resume, result and the
+``lockstep`` loop are the shared partitioned skeleton
+:class:`~repro.parallel.partitioned.PartitionedEngine` (shared with the
+threads engine); this module supplies the block sweep ``_step_block``
+(which also records ``boundary_evals``/``boundary_publishes``) and the
+forked free-running loop ``_run_free``.
+
 Worker collapse on oversubscribed hosts
 ---------------------------------------
 Forking more workers than the machine has cores cannot add
@@ -91,17 +98,11 @@ import numpy as np
 
 from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import RunResult
-from repro.cga.hooks import as_hooks
 from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
+from repro.parallel.partitioned import PartitionedEngine
 from repro.runtime.budget import Budget
-from repro.runtime.context import (
-    attach_runtime,
-    build_context,
-    detach_runtime,
-    finish_run,
-    partition_ownership,
-)
+from repro.runtime.context import attach_runtime, build_context, partition_ownership
 
 __all__ = ["ShmBlockPACGA"]
 
@@ -170,7 +171,7 @@ class _ShmArena:
                 pass
 
 
-class ShmBlockPACGA:
+class ShmBlockPACGA(PartitionedEngine):
     """PA-CGA: one forked worker per block, batch kernels per sweep.
 
     Parameters
@@ -245,20 +246,9 @@ class ShmBlockPACGA:
             pop_arrays=(arrays["s"], arrays["ct"], arrays["fitness"]),
             obs=obs,
         )
-        self.instance = instance
-        self.config = ctx.config
-        self.hooks = as_hooks(hooks)
-        self.lockstep = lockstep
+        super().__init__(instance, ctx, hooks, lockstep)
         self.stall_kill_s = stall_kill_s
         self.oversubscribe = oversubscribe
-        self.grid = ctx.grid
-        self.neighbors = ctx.neighbors
-        self.blocks = ctx.blocks
-        self.ops = ctx.ops
-        self._init_rng, self._worker_rngs = ctx.init_rng, ctx.worker_rngs
-        self.pop = ctx.pop
-        self.crosses = ctx.crosses
-        self.obs = ctx.obs
         self._batch = resolve_batch_ops(self.config, problem=self.pop.problem)
         self._seq = arrays["seq"]
         self._block_id, self._shared_read = partition_ownership(
@@ -266,66 +256,11 @@ class ShmBlockPACGA:
         )
         #: per-block neighbor tables, pre-gathered once
         self._nb_blocks = [self.neighbors[block] for block in self.blocks]
-        #: boundary breeding steps per sweep of each block (cells whose
-        #: neighborhood leaves the block — the same count the threads
-        #: engine reports as ``boundary_evals``)
-        self._boundary_per_sweep = [int(self.crosses[b].sum()) for b in self.blocks]
-        n = self.config.n_threads
-        self._eval_counts = [0] * n
-        self._gen_counts = [0] * n
         #: per-leader fused sweep plans, set by :meth:`_run_free` when
         #: workers collapse (None = one sweep unit per block)
         self._plans: dict | None = None
         self._n_procs = 0
-        self._resume: dict | None = None
-        self._ckpt = None
         self._finalizer = weakref.finalize(self, self._arena.unlink)
-
-    # ------------------------------------------------------------------
-    # checkpoint protocol (runtime.checkpoint) — mirrors ThreadedPACGA
-    # ------------------------------------------------------------------
-    def arm_checkpoint(self, every, saver) -> None:
-        """Install a round-boundary checkpoint callback (lockstep only)."""
-        if saver is not None and not self.lockstep:
-            raise ValueError(
-                "mid-run checkpoints require lockstep=True: free-running "
-                "forked workers interleave block publications "
-                "nondeterministically and cannot be snapshotted at a "
-                "consistent boundary"
-            )
-        self._ckpt = None if saver is None else (every, saver)
-
-    def capture_state(self) -> dict:
-        """Per-worker RNG streams plus the cumulative worker counters."""
-        return {
-            "rng_streams": {
-                "workers": [r.bit_generator.state for r in self._worker_rngs]
-            },
-            "progress": {
-                "eval_counts": list(self._eval_counts),
-                "gen_counts": list(self._gen_counts),
-            },
-            "engine_options": {"lockstep": self.lockstep},
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Adopt a :meth:`capture_state` payload; next ``run`` resumes it."""
-        states = payload["rng_streams"]["workers"]
-        if len(states) != len(self._worker_rngs):
-            raise ValueError(
-                f"checkpoint has {len(states)} worker streams, "
-                f"engine has {len(self._worker_rngs)}"
-            )
-        for rng, state in zip(self._worker_rngs, states):
-            rng.bit_generator.state = state
-        progress = payload.get("progress")
-        if progress and any(progress.get("eval_counts", ())):
-            self._resume = {
-                "eval_counts": [int(e) for e in progress["eval_counts"]],
-                "gen_counts": [int(g) for g in progress["gen_counts"]],
-            }
-        else:
-            self._resume = None
 
     # ------------------------------------------------------------------
     # the block sweep (one batch generation over one block)
@@ -412,7 +347,9 @@ class ShmBlockPACGA:
         and publish the accepted children; returns the number of
         seqlock-stamped (boundary) publications.
 
-        ``rec`` is the worker's private metric recorder.  The second
+        ``rec`` is the worker's private metric recorder; besides the
+        breeding telemetry it receives the sweep's ``boundary_evals``
+        and ``boundary_publishes``.  The second
         parent's genome is gathered alone, but still through the seqlock,
         so a torn half-written permutation never enters a crossover.
 
@@ -433,106 +370,32 @@ class ShmBlockPACGA:
             rec,
         )
         acc = np.flatnonzero(accept)
-        if not acc.size:
-            return 0
-        return self._publish(
-            block[acc], child_s[acc], child_ct[acc], child_fit[acc], shared_read
-        )
+        pubs = 0
+        if acc.size:
+            pubs = self._publish(
+                block[acc], child_s[acc], child_ct[acc], child_fit[acc], shared_read
+            )
+        if rec is not None:
+            boundary = self._boundary_per_sweep[tid] if plan is None else plan["boundary"]
+            rec.inc("boundary_evals", boundary)
+            rec.inc("boundary_publishes", pubs)
+        return pubs
 
     # ------------------------------------------------------------------
     def run(self, stop: StopCondition) -> RunResult:
         """Evolve all blocks until ``stop``; unlink the segments after."""
-        resume, self._resume = self._resume, None
-        n = self.config.n_threads
-        self._eval_counts = list(resume["eval_counts"]) if resume else [0] * n
-        self._gen_counts = list(resume["gen_counts"]) if resume else [0] * n
         self._n_procs = 0  # reported only by free-running runs
         try:
-            if self.lockstep:
-                return self._run_lockstep(stop)
-            return self._run_free(stop)
+            return super().run(stop)
         finally:
             self._plans = None
             self._arena.unlink()
 
     def _result(self, budget: Budget) -> RunResult:
-        eval_counts, gen_counts = self._eval_counts, self._gen_counts
-        best_idx, best_fit = self.pop.best()
-        result = RunResult(
-            best_fitness=best_fit,
-            best_assignment=self.pop.s[best_idx].copy(),
-            evaluations=sum(eval_counts),
-            generations=min(gen_counts) if gen_counts else 0,
-            elapsed_s=budget.elapsed,
-            history=[],
-            extra={
-                "per_thread_evaluations": list(eval_counts),
-                "per_thread_generations": list(gen_counts),
-                "n_threads": self.config.n_threads,
-                "lockstep": self.lockstep,
-                "boundary_cells": int(self._shared_read.sum()),
-                **(
-                    {"worker_processes": self._n_procs} if self._n_procs else {}
-                ),
-            },
-        )
-        return finish_run(
-            self,
-            result,
-            engine_name=self.engine_name,
-            meta={"n_threads": self.config.n_threads},
-        )
-
-    # ------------------------------------------------------------------
-    def _run_lockstep(self, stop: StopCondition) -> RunResult:
-        """Deterministic serialized mode: round-robin block sweeps."""
-        n = self.config.n_threads
-        budget = Budget(stop)
-        share = budget.eval_share(n)
-        evals, gens = self._eval_counts, self._gen_counts
-        board = attach_runtime(self, n, lambda: (min(gens), sum(evals)))
-        obs = self.obs
-        # per-block recorders: lockstep runs in one process, so the
-        # workers' sweep/boundary/attribution metrics land directly in
-        # the parent registry (free-running ships them over the queue)
-        recs = [obs.recorder(str(tid)) for tid in range(n)] if obs is not None else None
-        budget.start()
-        rounds = 0
-        try:
-            active = [True] * n
-            while any(active):
-                for tid in range(n):
-                    if not active[tid]:
-                        continue
-                    if budget.worker_exhausted(evals[tid], gens[tid], share):
-                        active[tid] = False
-                        if board is not None:
-                            board.mark_done(tid)
-                        continue
-                    rec = recs[tid] if recs is not None else None
-                    pubs = self._step_block(tid, self._worker_rngs[tid], rec)
-                    evals[tid] += self.blocks[tid].size
-                    gens[tid] += 1
-                    if rec is not None:
-                        rec.inc("boundary_evals", self._boundary_per_sweep[tid])
-                        rec.inc("boundary_publishes", pubs)
-                    if board is not None:
-                        board.beat(tid)
-                rounds += 1
-                if obs is not None:
-                    obs.flight_event("sweep", "round", float(rounds))
-                    total = sum(evals)
-                    if self.sampler_due(total):
-                        obs.maybe_sample(
-                            total, lambda: obs.engine_row(self, min(gens), total)
-                        )
-                if self._ckpt is not None and rounds % self._ckpt[0] == 0 and any(active):
-                    self._ckpt[1](self)
-                    if obs is not None:
-                        obs.flight_event("checkpoint", value=float(rounds))
-        finally:
-            detach_runtime(self, board)
-        return self._result(budget)
+        extra = {"boundary_cells": int(self._shared_read.sum())}
+        if self._n_procs:
+            extra["worker_processes"] = self._n_procs
+        return super()._result(budget, **extra)
 
     # ------------------------------------------------------------------
     def _free_plan(self, n_procs: int) -> tuple[list[list[int]], dict | None]:
@@ -634,10 +497,6 @@ class ShmBlockPACGA:
                 rec = MetricRecorder(str(lead))
                 tracer = ThreadTracer(lead, t0) if obs.tracer is not None else None
             sizes = [self.blocks[t].size for t in members]
-            if plans is None:
-                boundary_size = self._boundary_per_sweep[lead]
-            else:
-                boundary_size = plans[lead]["boundary"]
             # members are a contiguous tid range (np.array_split), so
             # the shared progress arrays update with slice stores — one
             # ctypes call per array per sweep, not one per member
@@ -667,8 +526,6 @@ class ShmBlockPACGA:
                 if rec is not None:
                     sweep_end = perf()
                     rec.observe("sweep_us", (sweep_end - sweep_start) * 1e6)
-                    rec.inc("boundary_evals", boundary_size)
-                    rec.inc("boundary_publishes", pubs)
                     if tracer is not None:
                         tracer.complete(
                             "sweep",
@@ -835,9 +692,3 @@ class ShmBlockPACGA:
                 break
             time.sleep(0.02)
         obs.flight_event("stall", f"w{stalled.worker}", stalled.stalled_s)
-
-    def sampler_due(self, evaluations: int) -> bool:
-        """Cheap parent-side cadence check (avoids provider invocation)."""
-        return self.obs is not None and self.obs.sampler.due(
-            evaluations, self.obs.elapsed()
-        )

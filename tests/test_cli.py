@@ -31,6 +31,18 @@ class TestParser:
         assert "pacga-threads = threads" in out
         assert "pacga-shm = shm" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["run"], ["resume", "ck.json"], ["quality"]],
+        ids=["solve", "run", "resume", "quality"],
+    )
+    @pytest.mark.parametrize("evals", ["0", "-5"])
+    def test_non_positive_evals_is_usage_error(self, argv, evals, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--evals", evals])
+        assert exc.value.code == 2
+        assert "--evals: must be a positive integer" in capsys.readouterr().err
+
 
 class TestInstances:
     def test_lists_all_twelve(self, capsys):

@@ -119,14 +119,23 @@ class TestThreadedBundle:
 
 class TestShmBundle:
     """shm records the same breeding telemetry as vectorized: both run
-    the one batch breeding step, ``repro.kernels.breed.breed``."""
+    the one batch breeding step, ``repro.kernels.breed.breed``.  The
+    threads engine shares shm's lockstep loop, so its observed lockstep
+    run records the scalar equivalents through instrumented operators."""
 
     PHASES = ("select", "crossover", "mutate", "ls", "fitness")
 
-    @pytest.mark.parametrize("lockstep", [True, False], ids=["lockstep", "free"])
-    def test_counters_and_phases(self, tiny_instance, lockstep):
+    @pytest.mark.parametrize(
+        "engine, lockstep",
+        [
+            pytest.param(ShmBlockPACGA, True, id="lockstep"),
+            pytest.param(ShmBlockPACGA, False, id="free"),
+            pytest.param(ThreadedPACGA, True, id="threads-lockstep"),
+        ],
+    )
+    def test_counters_and_phases(self, tiny_instance, engine, lockstep):
         obs = Observer(out=None, sample_every_evals=64)
-        eng = ShmBlockPACGA(
+        eng = engine(
             tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=lockstep
         )
         res = eng.run(StopCondition(max_generations=3))
@@ -134,21 +143,29 @@ class TestShmBundle:
         counters, hists = merged.counters, merged.histograms
         assert counters["breeding.evaluations"] == res.evaluations
         assert counters["op.replacement.attempts"] == res.evaluations
+        assert counters["op.crossover.attempts"] > 0
+        assert counters["op.mutation.attempts"] > 0
+        assert counters["boundary_evals"] > 0
         for phase in self.PHASES:
-            assert hists[f"phase.{phase}_us"].count == counters["sweeps"]
+            if engine is ShmBlockPACGA:
+                # one batch kernel call per phase per sweep
+                assert hists[f"phase.{phase}_us"].count == counters["sweeps"]
+            else:
+                assert hists[f"phase.{phase}_us"].count > 0
 
     def test_recorder_draws_no_rng(self, tiny_instance):
-        def final_population(obs):
-            eng = ShmBlockPACGA(
+        def final_population(engine, obs):
+            eng = engine(
                 tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=True
             )
             eng.run(StopCondition(max_generations=4))
             return eng.pop.s.copy(), eng.pop.ct.copy(), eng.pop.fitness.copy()
 
-        plain = final_population(None)
-        observed = final_population(Observer(out=None, sample_every_evals=64))
-        for a, b in zip(plain, observed):
-            assert np.array_equal(a, b)
+        for engine in (ShmBlockPACGA, ThreadedPACGA):
+            plain = final_population(engine, None)
+            observed = final_population(engine, Observer(out=None, sample_every_evals=64))
+            for a, b in zip(plain, observed):
+                assert np.array_equal(a, b), engine.__name__
 
 
 class TestSimulatedBundle:

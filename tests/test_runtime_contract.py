@@ -13,6 +13,7 @@ import pytest
 
 from repro.cga import CGAConfig, StopCondition
 from repro.heuristics.minmin import min_min
+from repro.obs import Observer
 from repro.runtime import (
     capture_state,
     create_engine,
@@ -47,6 +48,11 @@ RESUME_CASES = [
     ("shm", 2),
     ("shm", 4),
 ]
+
+#: engines with a wall-clock run loop (threads and shm in lockstep).
+#: sim is left out: it runs in virtual time, so a wall-clock heartbeat
+#: deadline says nothing about its progress.
+LIVE_CASES = ["async", "sync", "vectorized", "threads", "shm"]
 
 
 def _make(name, instance, seed=3, config=CFG, **extras):
@@ -147,3 +153,22 @@ class TestResumeContract:
         eng = create_engine("threads", small_instance, CFG, seed=1)
         with pytest.raises(ValueError, match="lockstep"):
             eng.arm_checkpoint(1, lambda e: None)
+
+
+class TestLiveRuntimeContract:
+    @pytest.mark.parametrize("name", LIVE_CASES)
+    def test_run_publishes_live_json_and_arms_watchdog(
+        self, name, small_instance, tmp_path
+    ):
+        """Every wall-clock run loop attaches the observer's runtime: the
+        watchdog is armed mid-run and ``live.json`` carries heartbeats."""
+        obs = Observer(out=tmp_path, live=True, stall_deadline_s=30.0)
+        eng = _make(name, small_instance, obs=obs)
+        armed = []
+        eng.arm_checkpoint(1, lambda e: armed.append(obs.watchdog is not None))
+        eng.run(StopCondition(max_generations=3))
+        assert armed and all(armed)
+        assert obs.watchdog is None  # detached with the run
+        live = json.loads((tmp_path / "live.json").read_text())
+        heartbeats = live["progress"]["heartbeats"]
+        assert heartbeats and all(hb > 0 for hb in heartbeats)
