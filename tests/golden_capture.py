@@ -8,8 +8,8 @@ adds zero behavioral drift.  Usage::
     PYTHONPATH=src python tests/golden_capture.py [--check] [GOLDEN ...]
 
 ``GOLDEN`` names a :data:`GOLDENS` entry (``independent``,
-``independent_paper``, ``flowshop``); with none, every golden file is
-captured (or checked).
+``independent_paper``, ``flowshop``, ``flowshop_paper``); with none,
+every golden file is captured (or checked).
 """
 
 from __future__ import annotations
@@ -86,6 +86,20 @@ GOLDENS = {
             ("shm", 2, {"lockstep": True}, {}),
         ],
         problem="flowshop",
+    ),
+    # the paper's grid on a 100x20 Taillard-size instance: 128-row batch
+    # DP tables, the scale the benchmark's flow-shop workload runs at
+    "flowshop_paper": Golden(
+        out=DATA / "golden_flowshop_paper.json",
+        instance=lambda: load_flowshop_instance("fs100x20.0"),
+        engines=[
+            ("vectorized", 1, {}, {}),
+            ("shm", 2, {"lockstep": True}, {}),
+            ("vectorized", 1, {}, {"crossover": "uniform"}),
+        ],
+        problem="flowshop",
+        config={"ls_iterations": 5},
+        evals=2560,
     ),
 }
 

@@ -4,10 +4,12 @@
 (history rows, final best, population digest) of the deterministic
 engines on each workload: ``golden_independent.json`` from before the
 problems-layer refactor, ``golden_flowshop.json`` from before the
-anti-diagonal flow-shop DP, and ``golden_independent_paper.json`` (the
+anti-diagonal flow-shop DP, ``golden_independent_paper.json`` (the
 paper-scale ETC run: u_c_hihi.0, 16x16 grid, tpx and opx) from before
-the flat-index ETC breeding kernels.  This test replays the same seeds and
-demands bit-identical results — the "zero behavioral drift" acceptance
+the flat-index ETC breeding kernels, and ``golden_flowshop_paper.json``
+(fs100x20.0, 16x16 grid, default and uniform crossover: 128-row DP
+tables) from before the index-once flow-shop DP and the flat-index mask
+fill.  This test replays the same seeds and demands bit-identical results — the "zero behavioral drift" acceptance
 gate for any refactor or kernel rewrite.  Regenerate with::
 
     PYTHONPATH=src python tests/golden_capture.py [GOLDEN ...]
