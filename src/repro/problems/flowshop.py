@@ -255,8 +255,13 @@ def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     V = np.zeros((lead + N + m - 1, m, P), dtype=np.float64)
     d, k, r = V.strides
     cells = as_strided(V[lead], (m, N, P), (d + k, d, r))  # (k, i) -> V[i + k, k]
-    for row, out in zip(pT, cells):  # take stages a strided out through a
-        np.take(row, R.T, out=out)  # temporary its size: keep it one machine
+    # one intp index for every machine: a gather converts any other index
+    # array afresh on each call.  Each machine's strided cells are filled
+    # from a one-machine temporary (out= would stage through one too), and
+    # plain indexing keeps the IndexError on an out-of-range job id.
+    idx = np.ascontiguousarray(R.T, dtype=np.intp)
+    for row, out in zip(pT, cells):
+        out[...] = row[idx]
     np.cumsum(V[:, 0], axis=0, out=V[:, 0])
     step = np.empty((m - 1, P), dtype=np.float64)
     for prev, cur in zip(V[:-1], V[1:]):
@@ -331,12 +336,13 @@ def insertion_makespans(
     e, q = eq[..., :P], eq[..., P:]
     pj = pT[:, jobs]
     # times are positive, so starting f and the max at zero is exact
-    f, ms = np.zeros((2, L + 1, P))
+    f, ms, fq = np.zeros((3, L + 1, P))  # fq: f + q, reused per machine
     for k in range(m):
         np.maximum(f, e[k : k + L + 1, k], out=f)
         f += pj[k]
         r = m - 1 - k  # q holds machine k of position i at [r + L - i, r]
-        np.maximum(ms, f + q[r : r + L + 1, r][::-1], out=ms)
+        np.add(f, q[r : r + L + 1, r][::-1], out=fq)
+        np.maximum(ms, fq, out=ms)
     return ms.T
 
 
@@ -504,20 +510,20 @@ def _random_move(s, ct, instance, rng) -> float:
 # batch kernels
 # ----------------------------------------------------------------------
 def _batch_ox_fill(p1: np.ndarray, p2: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise order-preserving mask fill for ``(P, n)`` matrices."""
+    """Row-wise order-preserving mask fill for ``(P, n)`` matrices.
+
+    :func:`_ox_fill` on every row at once, through flat row-offset
+    indices.  Row ``r`` has as many free slots as untaken jobs (its
+    parents are permutations), and boolean selection walks both in
+    row-major order, so the ``k``-th free slot of the matrix gets the
+    ``k``-th untaken job of the same row.
+    """
     P, n = p1.shape
-    child = np.where(mask, p2, p1)
-    taken = np.zeros((P, n), dtype=bool)
-    r, c = np.nonzero(mask)
-    taken[r, p2[r, c]] = True
-    avail = ~np.take_along_axis(taken, p1.astype(np.intp), axis=1)
-    src_rank = np.cumsum(avail, axis=1) - 1
-    compacted = np.zeros_like(p1)
-    rr, cc = np.nonzero(avail)
-    compacted[rr, src_rank[rr, cc]] = p1[rr, cc]
-    slot_rank = np.cumsum(~mask, axis=1) - 1
-    fr, fc = np.nonzero(~mask)
-    child[fr, fc] = compacted[fr, slot_rank[fr, fc]]
+    base = np.arange(0, P * n, n)[:, None]  # flat offset of each row
+    taken = np.zeros(P * n, dtype=bool)
+    taken[(p2 + base)[mask]] = True
+    child = p2.copy()
+    child[~mask] = p1[~taken[p1 + base]]
     return child
 
 

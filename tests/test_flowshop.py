@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from repro.problems.flowshop import (
+    _CT_BLOCK,
     FLOWSHOP,
     FlowShopInstance,
     FlowShopSchedule,
+    _batch_ox_fill,
+    _ox_fill,
     batch_flowshop_ct,
     flowshop_ct,
     insertion_makespans,
@@ -115,7 +118,8 @@ def _kernel_instance(n, m, integer, seed=0):
 class TestAntiDiagonalKernel:
     """The wavefront DP is bit-identical to the cell-by-cell sweeps."""
 
-    @pytest.mark.parametrize("P", [1, 6])
+    # _CT_BLOCK + 2 rows span two tables: the block split must not show
+    @pytest.mark.parametrize("P", [1, 6, _CT_BLOCK + 2])
     @pytest.mark.parametrize("n,m,integer", KERNEL_SHAPES)
     def test_batch_ct_exact(self, n, m, integer, P, rng):
         inst = _kernel_instance(n, m, integer)
@@ -140,6 +144,54 @@ class TestAntiDiagonalKernel:
     def test_neh_order_exact(self, n, m, integer):
         inst = _kernel_instance(n, m, integer, seed=3)
         assert np.array_equal(neh_order(inst), _ref_neh_order(inst.p))
+
+    def test_out_of_range_job_raises(self, rng):
+        inst = _kernel_instance(9, 4, True)
+        S = rng.permuted(np.tile(np.arange(9, dtype=np.int32), (3, 1)), axis=1)
+        S[1, 4] = 9
+        with pytest.raises(IndexError):
+            batch_flowshop_ct(inst, S)
+        with pytest.raises(IndexError):
+            insertion_makespans(inst, S[:, 1:], S[:, 0])
+
+    def test_index_dtype_and_layout_do_not_matter(self, rng):
+        inst = _kernel_instance(9, 4, False)
+        S = rng.permuted(np.tile(np.arange(9, dtype=np.int32), (6, 1)), axis=1)
+        jobs = S[:, 0]
+        flip = np.ascontiguousarray(S[:, ::-1])
+        ct, ct_flip = batch_flowshop_ct(inst, S), batch_flowshop_ct(inst, flip)
+        ms = insertion_makespans(inst, S[:, 1:], jobs)
+        ms_flip = insertion_makespans(inst, flip[:, :-1], jobs)
+        for dtype in (np.int32, np.intp):
+            T = S.astype(dtype)
+            assert np.array_equal(batch_flowshop_ct(inst, T), ct)
+            assert np.array_equal(batch_flowshop_ct(inst, T[:, ::-1]), ct_flip)
+            assert np.array_equal(insertion_makespans(inst, T[:, 1:], jobs), ms)
+            assert np.array_equal(insertion_makespans(inst, T[:, :0:-1], jobs), ms_flip)
+
+
+class TestBatchOxFill:
+    """The batch mask fill equals the scalar one row by row."""
+
+    #: mask kind -> mask from a uniform draw per position
+    MASKS = {
+        "empty": lambda u: u < 0,
+        "full": lambda u: u >= 0,
+        "sparse": lambda u: u < 0.1,
+        "half": lambda u: u < 0.5,
+    }
+
+    @pytest.mark.parametrize("kind", list(MASKS))
+    @pytest.mark.parametrize("P,n", [(1, 9), (7, 9), (5, 2), (1, 2), (16, 40)])
+    def test_matches_scalar(self, P, n, kind, rng):
+        base = np.tile(np.arange(n, dtype=np.int32), (P, 1))
+        p1, p2 = rng.permuted(base, axis=1), rng.permuted(base, axis=1)
+        mask = self.MASKS[kind](rng.random((P, n)))
+        child = _batch_ox_fill(p1, p2, mask)
+        assert child.shape == p1.shape and child.dtype == p1.dtype
+        for r in range(P):
+            assert np.array_equal(child[r], _ox_fill(p1[r], p2[r], mask[r]))
+            assert np.array_equal(np.sort(child[r]), np.arange(n))
 
 
 class TestEvaluation:
