@@ -40,7 +40,7 @@ def register(sub) -> None:
     p.add_argument("--out", default=None, help="write the run result as JSON")
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="GENS",
         help="keep checkpointing into the source file every GENS generations",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import sys
 
+from repro.cli.engines import positive_int
 from repro.cli.obsflags import add_obs_arguments, reject_stray_obs_flags
 
 __all__ = ["register", "HANDLERS"]
@@ -86,7 +87,7 @@ def register(sub) -> None:
     )
     p.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="GENS",
         help="job checkpoint cadence in generations",

@@ -56,7 +56,7 @@ def register(sub) -> None:
         )
         p.add_argument(
             "--checkpoint-every",
-            type=int,
+            type=positive_int,
             default=None,
             metavar="GENS",
             help="checkpoint cadence in generations (default: 1)",

@@ -49,9 +49,8 @@ from repro.kernels.batch_variation import (
     batch_swap_mutation,
     crossover_mask,
     resolve_batch_crossover,
-    resolve_batch_mutation,
 )
-from repro.kernels.batch_ls import BATCH_LOCAL_SEARCHES, batch_h2ll, resolve_batch_local_search
+from repro.kernels.batch_ls import BATCH_LOCAL_SEARCHES, batch_h2ll
 
 from dataclasses import dataclass
 from typing import Callable
@@ -184,8 +183,6 @@ __all__ = [
     "batch_swap_mutation",
     "crossover_mask",
     "resolve_batch_crossover",
-    "resolve_batch_mutation",
     "BATCH_LOCAL_SEARCHES",
     "batch_h2ll",
-    "resolve_batch_local_search",
 ]

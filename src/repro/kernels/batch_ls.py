@@ -26,7 +26,7 @@ import numpy as np
 from repro.etc.model import ETCMatrix
 from repro.kernels.batch_ct import _require_c_contiguous
 
-__all__ = ["batch_h2ll", "BATCH_LOCAL_SEARCHES", "resolve_batch_local_search"]
+__all__ = ["batch_h2ll", "BATCH_LOCAL_SEARCHES"]
 
 BatchLocalSearch = Callable[
     [np.ndarray, np.ndarray, ETCMatrix, np.random.Generator, int, int | None], int
@@ -125,13 +125,3 @@ def batch_h2ll(
 BATCH_LOCAL_SEARCHES: dict[str, BatchLocalSearch] = {
     "h2ll": batch_h2ll,
 }
-
-
-def resolve_batch_local_search(name: str) -> BatchLocalSearch:
-    """Look up a batch local-search kernel by scalar-registry name."""
-    try:
-        return BATCH_LOCAL_SEARCHES[name]
-    except KeyError:
-        raise KeyError(
-            f"no batch local-search kernel for {name!r}; known: {', '.join(BATCH_LOCAL_SEARCHES)}"
-        ) from None

@@ -26,7 +26,6 @@ __all__ = [
     "batch_swap_mutation",
     "batch_rebalance_mutation",
     "BATCH_MUTATIONS",
-    "resolve_batch_mutation",
 ]
 
 MaskFn = Callable[[int, int, np.random.Generator], np.ndarray]
@@ -185,13 +184,3 @@ BATCH_MUTATIONS: dict[str, BatchMutation] = {
     "swap": batch_swap_mutation,
     "rebalance": batch_rebalance_mutation,
 }
-
-
-def resolve_batch_mutation(name: str) -> BatchMutation:
-    """Look up a batch mutation kernel by scalar-registry name."""
-    try:
-        return BATCH_MUTATIONS[name]
-    except KeyError:
-        raise KeyError(
-            f"no batch mutation kernel for {name!r}; known: {', '.join(BATCH_MUTATIONS)}"
-        ) from None

@@ -16,12 +16,7 @@ Three engines implement the paper's parallel asynchronous CGA:
   figures reproducibly on any host (DESIGN.md §4.2).
 """
 
-from repro.parallel.rwlock import (
-    LockManager,
-    RWLock,
-    TrackedLockManager,
-    TrackedRWLock,
-)
+from repro.parallel.rwlock import LockManager, RWLock, TimedLocks
 from repro.parallel.threads import ThreadedPACGA
 from repro.parallel.shm import ShmBlockPACGA
 from repro.parallel.costmodel import CostModel, XEON_E5440
@@ -31,8 +26,7 @@ from repro.parallel.calibrate import measure_cost_model, time_breeding_step
 __all__ = [
     "RWLock",
     "LockManager",
-    "TrackedRWLock",
-    "TrackedLockManager",
+    "TimedLocks",
     "ThreadedPACGA",
     "ShmBlockPACGA",
     "CostModel",

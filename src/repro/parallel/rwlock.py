@@ -6,17 +6,17 @@ overlap writes, writes never overlap writes.  Python's stdlib has no RW
 lock, so this is a classic writer-preference implementation on a
 :class:`threading.Condition` — writer preference matters because the
 replacement write at the end of every breeding loop must not starve
-behind the much more frequent neighbor reads.
+behind the much more frequent neighbor reads.  :class:`TimedLocks` is
+one worker's timed view of a :class:`LockManager`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from time import perf_counter as _perf
 
-__all__ = ["RWLock", "LockManager", "TrackedRWLock", "TrackedLockManager"]
+__all__ = ["RWLock", "LockManager", "TimedLocks"]
 
 
 class RWLock:
@@ -91,68 +91,6 @@ class RWLock:
             self.release_write()
 
 
-def _record(recorder, kind: str, wait_s: float, hold_s: float) -> None:
-    """Fold one acquisition's wait/hold into a metric recorder.
-
-    ``recorder`` is duck-typed (``inc``/``observe``, e.g.
-    :class:`repro.obs.MetricRecorder`) so the lock layer stays free of
-    any observability import.  Emits, per ``kind`` in {read, write}::
-
-        lock.<kind>_acquires           counter
-        lock.<kind>_wait_s_total       counter (seconds)
-        lock.<kind>_hold_s_total       counter (seconds)
-        lock.<kind>_wait_us            histogram (microseconds)
-    """
-    recorder.inc(f"lock.{kind}_acquires")
-    recorder.inc(f"lock.{kind}_wait_s_total", wait_s)
-    recorder.inc(f"lock.{kind}_hold_s_total", hold_s)
-    recorder.observe(f"lock.{kind}_wait_us", wait_s * 1e6)
-
-
-class TrackedRWLock(RWLock):
-    """A :class:`RWLock` that times acquisition waits and hold spans.
-
-    The timing decorator path of the observability layer — and the one
-    implementation shared by product code and the contention tests, so
-    the semantics asserted in ``tests/test_tracked_contention.py`` are
-    the semantics the engines ship.  ``recorder`` must be private to
-    the measuring thread (single-owner use) or tolerate merged counts;
-    engines that share locks across threads use
-    :class:`TrackedLockManager`, which routes each acquisition to the
-    *acquiring* thread's recorder instead.
-    """
-
-    __slots__ = ("recorder",)
-
-    def __init__(self, recorder) -> None:
-        super().__init__()
-        self.recorder = recorder
-
-    @contextmanager
-    def read_locked(self):
-        """Shared section, timed into the recorder."""
-        t0 = time.perf_counter()
-        self.acquire_read()
-        t1 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.release_read()
-            _record(self.recorder, "read", t1 - t0, time.perf_counter() - t1)
-
-    @contextmanager
-    def write_locked(self):
-        """Exclusive section, timed into the recorder."""
-        t0 = time.perf_counter()
-        self.acquire_write()
-        t1 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.release_write()
-            _record(self.recorder, "write", t1 - t0, time.perf_counter() - t1)
-
-
 class _TimedAcquire:
     """Slotted timing wrapper around one lock acquisition.
 
@@ -223,12 +161,19 @@ class _LockStats:
         self.hold_s = 0.0
 
 
-class _BoundLocks:
-    """One thread's pre-bound view of a :class:`TrackedLockManager`.
+class TimedLocks:
+    """One thread's timed view of a read/write lock manager.
 
-    Returned by :meth:`TrackedLockManager.bind`; hot loops should hold
-    onto it and call ``read``/``write`` here, skipping the
-    ``threading.local`` lookup the manager itself must pay per call.
+    Wraps the two-method ``read(idx)``/``write(idx)`` protocol of
+    ``base`` (a :class:`LockManager`) and charges each acquisition to
+    ``recorder``, which must be private to the thread using this view —
+    per-thread recording keeps the instrumentation itself lock-free
+    (the no-added-contention rule of ``repro.obs``).  ``recorder`` is
+    duck-typed (``hist``/``inc``, e.g. :class:`repro.obs.MetricRecorder`)
+    so the lock layer stays free of any observability import.  Wait
+    histograms (``lock.<kind>_wait_us``) fill as acquisitions are
+    timed; the counters (``lock.<kind>_acquires``, ``_timed``,
+    ``_wait_s_total``, ``_hold_s_total``) land on :meth:`flush`.
     """
 
     __slots__ = ("_read", "_write", "_recorder", "read_stats", "write_stats")
@@ -261,56 +206,6 @@ class _BoundLocks:
         """Publish the accumulated wait/hold totals as counters."""
         self.read_stats.flush(self._recorder)
         self.write_stats.flush(self._recorder)
-
-
-class TrackedLockManager:
-    """Timing decorator around any read/write lock manager.
-
-    Wraps the two-method ``read(idx)``/``write(idx)`` protocol and
-    charges each acquisition to the recorder the *calling thread* bound
-    via :meth:`bind` — per-thread recording keeps the instrumentation
-    itself lock-free (the no-added-contention rule of ``repro.obs``).
-    Threads that never bind pass through untimed.  Wait/hold totals
-    accumulate thread-locally; they land in the recorder's counters on
-    :meth:`flush`.  ``bind`` also returns the thread's
-    :class:`_BoundLocks` view, which skips the per-call thread-local
-    lookup — worker hot loops should use that directly.
-    """
-
-    __slots__ = ("_base", "_local")
-
-    def __init__(self, base: "LockManager"):
-        self._base = base
-        self._local = threading.local()
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def bind(self, recorder) -> "_BoundLocks":
-        """Attach the calling thread's private metric recorder."""
-        bound = _BoundLocks(self._base, recorder)
-        self._local.bound = bound
-        return bound
-
-    def flush(self) -> None:
-        """Publish the calling thread's accumulated lock totals."""
-        bound = getattr(self._local, "bound", None)
-        if bound is not None:
-            bound.flush()
-
-    def read(self, idx: int):
-        """Timed shared access to individual ``idx``."""
-        bound = getattr(self._local, "bound", None)
-        if bound is None:
-            return self._base.read(idx)
-        return bound.read(idx)
-
-    def write(self, idx: int):
-        """Timed exclusive access to individual ``idx``."""
-        bound = getattr(self._local, "bound", None)
-        if bound is None:
-            return self._base.write(idx)
-        return bound.write(idx)
 
 
 class LockManager:

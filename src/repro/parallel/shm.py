@@ -24,7 +24,7 @@ locks by per-cell sequence counters (seqlock):
 * a reader snapshots ``seq``, copies the rows, re-reads ``seq`` and
   retries any row whose counter changed or was odd.
 
-Only cells some *other* block reads (the boundary set computed by
+Only cells some *other* sweep unit reads (the boundary set computed by
 :func:`repro.runtime.context.partition_ownership`) pay the two stamp
 writes; interior cells — the vast majority for the paper's grids — are
 written with plain array stores.  The protocol assumes aligned 8-byte
@@ -56,9 +56,20 @@ mode the universal checkpoint layer snapshots and resumes bit-exactly.
 Run loops: the checkpoint protocol, counter resume, result and the
 ``lockstep`` loop are the shared partitioned skeleton
 :class:`~repro.parallel.partitioned.PartitionedEngine` (shared with the
-threads engine); this module supplies the block sweep ``_step_block``
-(which also records ``boundary_evals``/``boundary_publishes``) and the
-forked free-running loop ``_run_free``.
+threads engine); this module supplies the sweep of one unit
+``_step_block`` (which also records
+``boundary_evals``/``boundary_publishes``) and the forked free-running
+loop ``_run_free``.
+
+Sweep units
+-----------
+A sweep unit (:class:`_SweepUnit`) is what one process breeds as one
+batch: its cells, their stacked neighbor table, the cell -> unit owner
+map (a neighbor owned by another unit is gathered through the seqlock)
+and the mask of rows another unit reads (published with stamps).  The
+constructor builds one unit per block, which lockstep and the full
+one-process-per-block fan-out breed; collapsed workers (below) breed
+one unit per group of blocks.
 
 Worker collapse on oversubscribed hosts
 ---------------------------------------
@@ -68,13 +79,13 @@ toward zero while every sweep still pays the same fixed Python/numpy
 kernel-dispatch cost (the ``shm(4) < shm(1)`` throughput anomaly on
 single-core boxes).  Free-running mode therefore forks only
 ``min(n_threads, cpu_count)`` processes and hands each one a
-contiguous *group* of blocks that it breeds as a single fused batch:
+contiguous *group* of blocks that it breeds as a single sweep unit:
 block ownership, budget shares and per-worker counters keep the
 configured ``n_threads`` granularity, but the kernel batch stays at
 ``pop/n_procs`` rows, so the per-sweep fixed cost is paid once per
 process instead of once per logical worker.  On a machine with enough
-cores the groups are singletons and nothing changes.  Pass
-``oversubscribe=True`` (or set ``REPRO_SHM_OVERSUBSCRIBE=1``) to force
+cores every group is one block, so the units are the per-block ones.
+Pass ``oversubscribe=True`` (or set ``REPRO_SHM_OVERSUBSCRIBE=1``) to force
 the full one-process-per-block fan-out — the observability smokes use
 this to exercise real multi-process crash/stall attribution anywhere.
 
@@ -93,6 +104,7 @@ import time
 import weakref
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as wait_for_sentinels
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +181,23 @@ class _ShmArena:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - racing cleanup
                 pass
+
+
+class _SweepUnit(NamedTuple):
+    """What one process breeds as one batch (module docstring)."""
+
+    #: this unit's id in ``owner``
+    gid: int
+    #: the unit's cells, member blocks in order
+    cells: np.ndarray
+    #: neighbor table of ``cells``
+    nb: np.ndarray
+    #: cell -> owning unit id (shared by all units of one partition)
+    owner: np.ndarray
+    #: cells some other unit reads: published with seqlock stamps
+    shared: np.ndarray
+    #: breeding steps per sweep whose neighborhood leaves the unit
+    boundary: int
 
 
 class ShmBlockPACGA(PartitionedEngine):
@@ -251,20 +280,28 @@ class ShmBlockPACGA(PartitionedEngine):
         self.oversubscribe = oversubscribe
         self._batch = resolve_batch_ops(self.config, problem=self.pop.problem)
         self._seq = arrays["seq"]
-        self._block_id, self._shared_read = partition_ownership(
-            self.neighbors, self.blocks, n_cells
-        )
-        #: per-block neighbor tables, pre-gathered once
-        self._nb_blocks = [self.neighbors[block] for block in self.blocks]
-        #: per-leader fused sweep plans, set by :meth:`_run_free` when
-        #: workers collapse (None = one sweep unit per block)
-        self._plans: dict | None = None
+        #: one sweep unit per block; collapsed free-running workers
+        #: breed the group units :meth:`_run_free` builds instead
+        self._units = self._sweep_units([[t] for t in range(cfg.n_threads)])
+        self._boundary_cells = int(self._units[0].shared.sum())
         self._n_procs = 0
         self._finalizer = weakref.finalize(self, self._arena.unlink)
 
     # ------------------------------------------------------------------
-    # the block sweep (one batch generation over one block)
+    # the unit sweep (one batch generation over one sweep unit)
     # ------------------------------------------------------------------
+    def _sweep_units(self, groups: list[list[int]]) -> list[_SweepUnit]:
+        """One sweep unit per group of block ids, with ownership and
+        seqlock visibility at group granularity."""
+        cells = [np.concatenate([self.blocks[t] for t in g]) for g in groups]
+        owner, shared = partition_ownership(self.neighbors, cells, self.grid.size)
+        units = []
+        for gid, unit_cells in enumerate(cells):
+            nb = self.neighbors[unit_cells]
+            boundary = int((owner[nb] != gid).any(axis=1).sum())
+            units.append(_SweepUnit(gid, unit_cells, nb, owner, shared, boundary))
+        return units
+
     def _seq_gather(self, ids: np.ndarray, arrays=None) -> tuple[np.ndarray, ...]:
         """Consistent copies of foreign rows of ``arrays`` (default
         ``(s, ct)``) via the seqlock protocol."""
@@ -289,21 +326,15 @@ class ShmBlockPACGA(PartitionedEngine):
                 time.sleep(0)  # yield so the writer can finish the row
         return outs
 
-    def _foreign(self, tid: int, ids: np.ndarray, plan: dict | None) -> np.ndarray:
-        """Positions in ``ids`` owned by another process' sweep unit."""
-        if plan is None:
-            return np.flatnonzero(self._block_id[ids] != tid)
-        return np.flatnonzero(plan["group_id"][ids] != plan["gid"])
-
     def _gather_rows(
-        self, tid: int, ids: np.ndarray, plan: dict | None = None, arrays=None
+        self, unit: _SweepUnit, ids: np.ndarray, arrays=None
     ) -> tuple[np.ndarray, ...]:
-        """Copy rows of ``arrays`` (default ``(s, ct)``); foreign rows
-        go through :meth:`_seq_gather`."""
+        """Copy rows of ``arrays`` (default ``(s, ct)``); rows another
+        unit owns go through :meth:`_seq_gather`."""
         if arrays is None:
             arrays = (self.pop.s, self.pop.ct)
         outs = tuple(a[ids] for a in arrays)  # fancy indexing copies
-        foreign = self._foreign(tid, ids, plan)
+        foreign = np.flatnonzero(unit.owner[ids] != unit.gid)
         if foreign.size:
             for out, rows in zip(outs, self._seq_gather(ids[foreign], arrays)):
                 out[foreign] = rows
@@ -315,17 +346,15 @@ class ShmBlockPACGA(PartitionedEngine):
         s_rows: np.ndarray,
         ct_rows: np.ndarray,
         fit_rows: np.ndarray,
-        shared_read: np.ndarray | None = None,
+        shared_read: np.ndarray,
     ) -> int:
-        """Write accepted children back; boundary rows seqlock-stamped.
+        """Write accepted children back; rows set in ``shared_read``
+        (read by another unit) are seqlock-stamped.
 
         Returns the number of seqlock-stamped (boundary) publications.
-        ``shared_read`` overrides the block-granularity visibility mask
-        (fused sweep units stamp only rows some *other process* reads).
         """
         pop, seq = self.pop, self._seq
-        mask = self._shared_read if shared_read is None else shared_read
-        shared = mask[rows]
+        shared = shared_read[rows]
         sh = np.flatnonzero(shared)
         if sh.size:
             srows = rows[sh]
@@ -343,41 +372,37 @@ class ShmBlockPACGA(PartitionedEngine):
         return int(sh.size)
 
     def _step_block(self, tid: int, rng: np.random.Generator, rec=None) -> int:
-        """Breed block ``tid`` once with :func:`repro.kernels.breed.breed`
-        and publish the accepted children; returns the number of
-        seqlock-stamped (boundary) publications.
+        """Breed sweep unit ``tid`` once with
+        :func:`repro.kernels.breed.breed` and publish the accepted
+        children; returns the number of seqlock-stamped (boundary)
+        publications.
 
-        ``rec`` is the worker's private metric recorder; besides the
-        breeding telemetry it receives the sweep's ``boundary_evals``
-        and ``boundary_publishes``.  The second
-        parent's genome is gathered alone, but still through the seqlock,
-        so a torn half-written permutation never enters a crossover.
-
-        When :meth:`_run_free` collapsed oversubscribed workers, ``tid``
-        is a group leader and the sweep covers the group's fused cells
-        (``self._plans[tid]``) in one batch.
+        ``tid`` indexes ``self._units``: a block id, or a group id in a
+        collapsed worker (:meth:`_run_free`).  ``rec`` is the worker's
+        private metric recorder; besides the breeding telemetry it
+        receives the sweep's ``boundary_evals`` and
+        ``boundary_publishes``.  The second parent's genome is gathered
+        alone, but still through the seqlock, so a torn half-written
+        permutation never enters a crossover.
         """
-        plan = self._plans.get(tid) if self._plans is not None else None
-        if plan is None:
-            block, nb, shared_read = self.blocks[tid], self._nb_blocks[tid], None
-        else:
-            block, nb, shared_read = plan["cells"], plan["nb"], plan["shared"]
+        unit = self._units[tid]
         pop = self.pop
         child_s, child_ct, child_fit, accept = breed(
-            self._batch, self.config, self.instance, rng, block, nb, pop.fitness,
-            lambda ids: self._gather_rows(tid, ids, plan),
-            lambda ids: self._gather_rows(tid, ids, plan, (pop.s,))[0],
+            self._batch, self.config, self.instance, rng, unit.cells, unit.nb,
+            pop.fitness,
+            lambda ids: self._gather_rows(unit, ids),
+            lambda ids: self._gather_rows(unit, ids, (pop.s,))[0],
             rec,
         )
         acc = np.flatnonzero(accept)
         pubs = 0
         if acc.size:
             pubs = self._publish(
-                block[acc], child_s[acc], child_ct[acc], child_fit[acc], shared_read
+                unit.cells[acc], child_s[acc], child_ct[acc], child_fit[acc],
+                unit.shared,
             )
         if rec is not None:
-            boundary = self._boundary_per_sweep[tid] if plan is None else plan["boundary"]
-            rec.inc("boundary_evals", boundary)
+            rec.inc("boundary_evals", unit.boundary)
             rec.inc("boundary_publishes", pubs)
         return pubs
 
@@ -388,50 +413,15 @@ class ShmBlockPACGA(PartitionedEngine):
         try:
             return super().run(stop)
         finally:
-            self._plans = None
             self._arena.unlink()
 
     def _result(self, budget: Budget) -> RunResult:
-        extra = {"boundary_cells": int(self._shared_read.sum())}
+        extra = {"boundary_cells": self._boundary_cells}
         if self._n_procs:
             extra["worker_processes"] = self._n_procs
         return super()._result(budget, **extra)
 
     # ------------------------------------------------------------------
-    def _free_plan(self, n_procs: int) -> tuple[list[list[int]], dict | None]:
-        """Group the ``n_threads`` blocks into ``n_procs`` sweep units.
-
-        Returns ``(groups, plans)``: ``groups[g]`` is the list of block
-        ids process ``g`` owns; ``plans`` (None when every group is a
-        singleton) maps each group's *leader* block id to the fused
-        sweep structures :meth:`_step_block` consumes — concatenated
-        cells, stacked neighbor table, group ownership for the gathers,
-        and the group-granularity shared-read mask so only rows some
-        other process reads pay seqlock stamps.
-        """
-        n = self.config.n_threads
-        groups = [
-            [int(t) for t in g] for g in np.array_split(np.arange(n), n_procs)
-        ]
-        if n_procs == n:
-            return groups, None
-        fused = [np.concatenate([self.blocks[t] for t in g]) for g in groups]
-        group_id, group_shared = partition_ownership(
-            self.neighbors, fused, self.grid.size
-        )
-        plans = {}
-        for gid, g in enumerate(groups):
-            crosses = (group_id[self.neighbors[fused[gid]]] != gid).any(axis=1)
-            plans[g[0]] = {
-                "gid": gid,
-                "cells": fused[gid],
-                "nb": np.vstack([self._nb_blocks[t] for t in g]),
-                "group_id": group_id,
-                "shared": group_shared,
-                "boundary": int(crosses.sum()),
-            }
-        return groups, plans
-
     def _run_free(self, stop: StopCondition) -> RunResult:
         """Free-running forked workers (the paper's concurrent execution).
 
@@ -448,8 +438,10 @@ class ShmBlockPACGA(PartitionedEngine):
             os.environ.get("REPRO_SHM_OVERSUBSCRIBE") == "1"
         )
         n_procs = n if oversub else min(n, os.cpu_count() or 1)
-        groups, plans = self._free_plan(n_procs)
-        self._plans = plans
+        groups = [
+            [int(t) for t in g] for g in np.array_split(np.arange(n), n_procs)
+        ]
+        units = self._units if n_procs == n else self._sweep_units(groups)
         self._n_procs = n_procs
         gid_of_tid = {t: gid for gid, g in enumerate(groups) for t in g}
         mp = self._mpctx
@@ -486,6 +478,9 @@ class ShmBlockPACGA(PartitionedEngine):
         crash_after = int(os.environ.get("REPRO_SHM_CRASH_AFTER", "3"))
 
         def body(gid: int, scope) -> None:
+            # this forked process breeds units[gid]; the parent keeps
+            # its one-unit-per-block table
+            self._units = units
             members = groups[gid]
             lead = members[0]
             rng = self._worker_rngs[lead]
@@ -512,7 +507,7 @@ class ShmBlockPACGA(PartitionedEngine):
                 for e, g in zip(evals_m, gens_m)
             ):
                 sweep_start = perf()
-                pubs = self._step_block(lead, rng, rec)
+                pubs = self._step_block(gid, rng, rec)
                 for i, sz in enumerate(sizes):
                     evals_m[i] += sz
                     gens_m[i] += 1

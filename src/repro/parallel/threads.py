@@ -21,9 +21,9 @@ the free-running OS-thread loop (``_run_free``).
 Observability: pass ``obs=repro.obs.Observer(...)`` and every worker
 gets a private metric recorder (sweeps, sweep latency, boundary
 evaluations, phase timings and operator attribution via instrumented
-operators), the per-individual locks are wrapped in a
-:class:`~repro.parallel.rwlock.TrackedLockManager` for wait/hold
-timing, and worker 0 samples the convergence time series.  With
+operators), each worker reads and writes the shared per-individual
+locks through its own :class:`~repro.parallel.rwlock.TimedLocks` view
+for wait/hold timing, and worker 0 samples the convergence time series.  With
 ``obs=None`` the sweep runs the original untimed operators and locks.
 
 Determinism: free-running threads are *not* reproducible — the GIL
@@ -45,7 +45,7 @@ import time
 from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import RunResult, evolve_individual
 from repro.parallel.partitioned import PartitionedEngine
-from repro.parallel.rwlock import LockManager, TrackedLockManager
+from repro.parallel.rwlock import LockManager, TimedLocks
 from repro.runtime.budget import Budget
 from repro.runtime.context import attach_runtime, build_context, detach_runtime
 
@@ -95,11 +95,9 @@ class ThreadedPACGA(PartitionedEngine):
         )
         super().__init__(instance, ctx, hooks, lockstep)
         self.locks = LockManager(self.grid.size)
-        #: per-worker ``(instrumented ops, bound locks)``, built on the
+        #: per-worker ``(instrumented ops, timed locks)``, built on the
         #: worker's first observed sweep
         self._obs_views: dict = {}
-        if self.obs is not None:
-            self.locks = TrackedLockManager(self.locks)
 
     def _step_block(self, tid: int, rng, rec=None) -> None:
         """Sweep block ``tid`` once in its fixed line order.
@@ -115,7 +113,7 @@ class ThreadedPACGA(PartitionedEngine):
                 from repro.obs.instrument import instrumented_ops
 
                 view = self._obs_views[tid] = (
-                    instrumented_ops(self.ops, rec), self.locks.bind(rec)
+                    instrumented_ops(self.ops, rec), TimedLocks(self.locks, rec)
                 )
             ops, locks = view
         pop, neighbors = self.pop, self.neighbors

@@ -43,6 +43,18 @@ class TestParser:
         assert exc.value.code == 2
         assert "--evals: must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--checkpoint", "ck.json"], ["resume", "ck.json"], ["serve"]],
+        ids=["solve", "resume", "serve"],
+    )
+    @pytest.mark.parametrize("every", ["0", "-2"])
+    def test_non_positive_checkpoint_every_is_usage_error(self, argv, every, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--checkpoint-every", every])
+        assert exc.value.code == 2
+        assert "--checkpoint-every: must be a positive integer" in capsys.readouterr().err
+
 
 class TestInstances:
     def test_lists_all_twelve(self, capsys):

@@ -8,6 +8,7 @@ the seqlock boundary protocol never lets a reader see a torn row.
 """
 
 import gc
+import os
 import threading
 import time
 from pathlib import Path
@@ -166,8 +167,6 @@ class TestWorkerCollapse:
     """Oversubscribed workers fuse into ``min(n, cores)`` processes."""
 
     def test_collapsed_run_keeps_per_worker_accounting(self, make_engine):
-        import os
-
         eng = make_engine(n_threads=4, seed=7)
         res = eng.run(StopCondition(max_generations=4))
         eng.pop.check_invariants()
@@ -183,29 +182,56 @@ class TestWorkerCollapse:
         res = eng.run(StopCondition(max_generations=2))
         assert res.extra["worker_processes"] == 2
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_collapse_fuses_blocks_on_any_host(self, make_engine, monkeypatch, cores):
+        # the core count is pinned so the fused path runs on every host
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.delenv("REPRO_SHM_OVERSUBSCRIBE", raising=False)
+        eng = make_engine(n_threads=4, seed=7)
+        res = eng.run(StopCondition(max_generations=4))
+        assert res.extra["worker_processes"] == cores
+        per_thread = res.extra["per_thread_evaluations"]
+        assert all(e > 0 for e in per_thread)
+        assert res.evaluations == sum(per_thread)
+        eng.pop.check_invariants()
+        assert (eng._seq % 2 == 0).all()  # every stamped row was finished
+        if cores == 1:
+            assert not eng._seq.any()  # one group: no row is seqlock-shared
+
     def test_fused_plan_structures(self, make_engine):
         eng = make_engine(n_threads=4)
-        groups, plans = eng._free_plan(2)
-        assert groups == [[0, 1], [2, 3]]
-        for lead, gid in ((0, 0), (2, 1)):
-            plan = plans[lead]
-            assert plan["gid"] == gid
+        groups = [[0, 1], [2, 3]]
+        for gid, unit in enumerate(eng._sweep_units(groups)):
+            assert unit.gid == gid
             # fused cells are the member blocks, in order
             expected = np.concatenate([eng.blocks[t] for t in groups[gid]])
-            assert np.array_equal(plan["cells"], expected)
-            assert plan["nb"].shape[0] == expected.size
+            assert np.array_equal(unit.cells, expected)
+            assert np.array_equal(unit.nb, eng.neighbors[expected])
             # group ownership covers both member blocks
-            assert (plan["group_id"][expected] == gid).all()
+            assert (unit.owner[expected] == gid).all()
         # a single fused group reads nothing across processes
-        _, single = eng._free_plan(1)
-        assert not single[0]["shared"].any()
-        assert single[0]["boundary"] == 0
+        (single,) = eng._sweep_units([[0, 1, 2, 3]])
+        assert not single.shared.any()
+        assert single.boundary == 0
 
-    def test_singleton_groups_have_no_plans(self, make_engine):
-        eng = make_engine(n_threads=2)
-        groups, plans = eng._free_plan(2)
-        assert groups == [[0], [1]]
-        assert plans is None
+    @pytest.mark.parametrize("side", [4, 8])
+    @pytest.mark.parametrize("n_threads", [1, 2, 3, 4])
+    def test_singleton_units_reproduce_block_ownership(
+        self, make_engine, n_threads, side
+    ):
+        # lockstep and full fan-out breed these units; bit-exactness
+        # rests on them matching the per-block partition
+        eng = make_engine(n_threads=n_threads, grid_rows=side, grid_cols=side)
+        block_id, shared = partition_ownership(
+            eng.neighbors, eng.blocks, eng.grid.size
+        )
+        assert len(eng._units) == n_threads
+        for t, unit in enumerate(eng._units):
+            assert unit.gid == t
+            assert np.array_equal(unit.cells, eng.blocks[t])
+            assert np.array_equal(unit.owner, block_id)
+            assert np.array_equal(unit.shared, shared)
+            assert unit.boundary == eng._boundary_per_sweep[t]
 
 
 class TestSeqlock:
@@ -213,16 +239,16 @@ class TestSeqlock:
         # 8x8 grid: a 2-block row-band split leaves interior rows whose
         # cells no foreign block reads (a 4x4 torus has none)
         eng = make_engine(lockstep=True, grid_rows=8, grid_cols=8)
-        block = eng.blocks[0]
-        shared = block[eng._shared_read[block]]
-        private = block[~eng._shared_read[block]]
+        block, mask = eng.blocks[0], eng._units[0].shared
+        shared = block[mask[block]]
+        private = block[~mask[block]]
         assert shared.size and private.size
         rows = np.array([int(shared[0]), int(private[0])])
         seq_before = eng._seq.copy()
         s_rows = eng.pop.s[rows] ^ 0  # copies
         ct_rows = eng.pop.ct[rows] + 1.0
         fit_rows = eng.pop.fitness[rows] + 1.0
-        eng._publish(rows, s_rows, ct_rows, fit_rows)
+        eng._publish(rows, s_rows, ct_rows, fit_rows, mask)
         assert eng._seq[rows[0]] == seq_before[rows[0]] + 2  # stamped
         assert eng._seq[rows[0]] % 2 == 0  # consistent again
         assert eng._seq[rows[1]] == seq_before[rows[1]]  # plain store
@@ -232,7 +258,7 @@ class TestSeqlock:
     def test_gather_returns_copies(self, make_engine):
         eng = make_engine(lockstep=True)
         ids = eng.blocks[1][:3]
-        s, ct = eng._gather_rows(0, ids)
+        s, ct = eng._gather_rows(eng._units[0], ids)
         assert np.array_equal(s, eng.pop.s[ids])
         assert np.array_equal(ct, eng.pop.ct[ids])
         s[...] = -1  # mutating the copy must not touch the population

@@ -1,20 +1,15 @@
-"""Tests for the tracked-contention simulation mode and the tracked
-lock classes that give real engines the same wait/hold accounting."""
+"""Tests for the tracked-contention simulation mode and the timed lock
+view that gives the threads engine the same wait/hold accounting."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.cga import CGAConfig, StopCondition
 from repro.obs import MetricRecorder
-from repro.parallel import (
-    CostModel,
-    LockManager,
-    SimulatedPACGA,
-    TrackedLockManager,
-    TrackedRWLock,
-)
+from repro.parallel import CostModel, LockManager, SimulatedPACGA, TimedLocks
 
 
 CFG = CGAConfig(grid_rows=6, grid_cols=6, ls_iterations=2, seed_with_minmin=False)
@@ -89,113 +84,70 @@ class TestTrackedSemantics:
         assert a.best_fitness == b.best_fitness
 
 
-class TestTrackedRWLock:
+class TestTimedLocks:
     def test_read_and_write_recorded(self):
         rec = MetricRecorder("t")
-        lock = TrackedRWLock(rec)
-        with lock.read_locked():
+        locks = TimedLocks(LockManager(4), rec)
+        with locks.read(2):
             pass
-        with lock.write_locked():
+        with locks.write(2):
             pass
+        # wait histograms fill immediately; counter totals land on flush
+        for kind in ("read", "write"):
+            assert rec.histograms[f"lock.{kind}_wait_us"].count == 1
+        assert "lock.read_acquires" not in rec.counters
+        locks.flush()
         c = rec.counters
         assert c["lock.read_acquires"] == 1
         assert c["lock.write_acquires"] == 1
         for kind in ("read", "write"):
             assert c[f"lock.{kind}_wait_s_total"] >= 0.0
             assert c[f"lock.{kind}_hold_s_total"] >= 0.0
-            assert rec.histograms[f"lock.{kind}_wait_us"].count == 1
 
     def test_still_a_correct_rwlock(self):
-        # mutual exclusion must survive the timing decoration
-        lock = TrackedRWLock(MetricRecorder("t"))
+        # mutual exclusion must survive the timing view, and each view
+        # charges only its own thread's acquisitions
+        base = LockManager(1)
+        recs = [MetricRecorder(str(tid)) for tid in range(4)]
         state = {"writers": 0, "max_writers": 0}
 
-        def writer():
+        def writer(rec):
+            locks = TimedLocks(base, rec)
             for _ in range(50):
-                with lock.write_locked():
+                with locks.write(0):
                     state["writers"] += 1
                     state["max_writers"] = max(state["max_writers"], state["writers"])
                     state["writers"] -= 1
+            locks.flush()
 
-        threads = [threading.Thread(target=writer) for _ in range(4)]
+        threads = [threading.Thread(target=writer, args=(rec,)) for rec in recs]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert state["max_writers"] == 1
-        assert lock.recorder.counters["lock.write_acquires"] == 200
+        assert [rec.counters["lock.write_acquires"] for rec in recs] == [50] * 4
 
     def test_wait_time_measured_under_contention(self):
-        rec_a, rec_b = MetricRecorder("a"), MetricRecorder("b")
-        lock = TrackedRWLock(rec_a)
+        base = LockManager(1)
         started = threading.Event()
 
         def holder():
-            with lock.write_locked():
+            with base.write(0):
                 started.set()
-                import time
-
                 time.sleep(0.05)
 
         t = threading.Thread(target=holder)
         t.start()
         started.wait()
-        lock.recorder = rec_b
-        with lock.write_locked():
+        rec = MetricRecorder("b")
+        locks = TimedLocks(base, rec)
+        with locks.write(0):
             pass
         t.join()
+        locks.flush()
         # the second writer demonstrably waited on the first
-        assert rec_b.counters["lock.write_wait_s_total"] >= 0.02
-
-
-class TestTrackedLockManager:
-    def test_unbound_threads_pass_through(self):
-        mgr = TrackedLockManager(LockManager(4))
-        with mgr.read(0):
-            pass
-        with mgr.write(1):
-            pass
-        assert len(mgr) == 4  # no recorder -> nothing to assert but no crash
-
-    def test_bound_thread_records(self):
-        mgr = TrackedLockManager(LockManager(4))
-        rec = MetricRecorder("0")
-        mgr.bind(rec)
-        with mgr.read(2):
-            pass
-        with mgr.write(2):
-            pass
-        # wait histograms fill immediately; counter totals land on flush
-        assert rec.histograms["lock.read_wait_us"].count == 1
-        assert rec.histograms["lock.write_wait_us"].count == 1
-        mgr.flush()
-        assert rec.counters["lock.read_acquires"] == 1
-        assert rec.counters["lock.write_acquires"] == 1
-        assert rec.counters["lock.read_wait_s_total"] >= 0.0
-        assert rec.counters["lock.write_hold_s_total"] >= 0.0
-
-    def test_recording_routes_to_acquiring_thread(self):
-        # two threads, two private recorders: counts must not mix
-        mgr = TrackedLockManager(LockManager(2))
-        recs = {0: MetricRecorder("0"), 1: MetricRecorder("1")}
-
-        def work(tid: int, n: int) -> None:
-            mgr.bind(recs[tid])
-            for _ in range(n):
-                with mgr.write(tid):
-                    pass
-            mgr.flush()  # totals buffer thread-locally until flushed
-
-        threads = [
-            threading.Thread(target=work, args=(0, 3)),
-            threading.Thread(target=work, args=(1, 7)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert recs[0].counters["lock.write_acquires"] == 3
-        assert recs[1].counters["lock.write_acquires"] == 7
+        assert rec.counters["lock.write_wait_s_total"] >= 0.02
 
 
 class TestTrackedTiming:
