@@ -84,7 +84,9 @@ class TestTrackedSemantics:
         assert a.best_fitness == b.best_fitness
 
 
-class TestTimedLocks:
+class TestTrackedRWLock:
+    """A TimedLocks view still behaves as the read/write lock it wraps."""
+
     def test_read_and_write_recorded(self):
         rec = MetricRecorder("t")
         locks = TimedLocks(LockManager(4), rec)
@@ -92,10 +94,6 @@ class TestTimedLocks:
             pass
         with locks.write(2):
             pass
-        # wait histograms fill immediately; counter totals land on flush
-        for kind in ("read", "write"):
-            assert rec.histograms[f"lock.{kind}_wait_us"].count == 1
-        assert "lock.read_acquires" not in rec.counters
         locks.flush()
         c = rec.counters
         assert c["lock.read_acquires"] == 1
@@ -103,6 +101,7 @@ class TestTimedLocks:
         for kind in ("read", "write"):
             assert c[f"lock.{kind}_wait_s_total"] >= 0.0
             assert c[f"lock.{kind}_hold_s_total"] >= 0.0
+            assert rec.histograms[f"lock.{kind}_wait_us"].count == 1
 
     def test_still_a_correct_rwlock(self):
         # mutual exclusion must survive the timing view, and each view
@@ -148,6 +147,65 @@ class TestTimedLocks:
         locks.flush()
         # the second writer demonstrably waited on the first
         assert rec.counters["lock.write_wait_s_total"] >= 0.02
+
+
+class TestTrackedLockManager:
+    """Per-worker TimedLocks views sharing one LockManager."""
+
+    def test_bound_thread_records(self):
+        base = LockManager(4)
+        rec = MetricRecorder("0")
+        before_flush = {}
+
+        def work():
+            locks = TimedLocks(base, rec)
+            with locks.read(2):
+                pass
+            with locks.write(2):
+                pass
+            before_flush["hist"] = [
+                rec.histograms[f"lock.{kind}_wait_us"].count for kind in ("read", "write")
+            ]
+            before_flush["counters"] = dict(rec.counters)
+            locks.flush()
+
+        t = threading.Thread(target=work)
+        t.start()
+        t.join()
+        # wait histograms fill immediately; counter totals land on flush
+        assert before_flush["hist"] == [1, 1]
+        assert "lock.read_acquires" not in before_flush["counters"]
+        assert rec.counters["lock.read_acquires"] == 1
+        assert rec.counters["lock.write_acquires"] == 1
+        assert rec.counters["lock.read_wait_s_total"] >= 0.0
+        assert rec.counters["lock.write_hold_s_total"] >= 0.0
+        # the shared manager stays usable untimed by other callers
+        with base.write(2):
+            pass
+        assert len(base) == 4
+
+    def test_recording_routes_to_acquiring_thread(self):
+        # two threads, two private recorders: counts must not mix
+        base = LockManager(2)
+        recs = {0: MetricRecorder("0"), 1: MetricRecorder("1")}
+
+        def work(tid: int, n: int) -> None:
+            locks = TimedLocks(base, recs[tid])
+            for _ in range(n):
+                with locks.write(tid):
+                    pass
+            locks.flush()
+
+        threads = [
+            threading.Thread(target=work, args=(0, 3)),
+            threading.Thread(target=work, args=(1, 7)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert recs[0].counters["lock.write_acquires"] == 3
+        assert recs[1].counters["lock.write_acquires"] == 7
 
 
 class TestTrackedTiming:
