@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -97,6 +98,7 @@ def evolve_individual(
     ops: EvolutionOps,
     rng: np.random.Generator,
     locks: NullLocks = _NULL_LOCKS,
+    tally=None,
 ) -> bool:
     """One breeding step for cell ``idx`` (Algorithm 3, lines 3–9).
 
@@ -104,8 +106,19 @@ def evolve_individual(
     parents, replacement writes the current cell — each access goes
     through ``locks`` so concurrent engines stay safe.  Returns True
     when the offspring replaced the incumbent.
+
+    ``tally`` is set only on the observed path (a
+    :class:`repro.obs.dynamics.StepTally`): the step then reports what
+    it applied, both fitness values and whether it replaced, and on the
+    tally's observed 1-in-8 step it laps its phases and runs under the
+    tally's timed locks.  The tally draws no random numbers.
     """
     inst = pop.instance
+    laps = None
+    if tally is not None:
+        laps = tally.begin()
+        if laps is not None and tally.locks is not None:
+            locks = tally.locks
     unlocked = locks is _NULL_LOCKS
     # -- selection: snapshot neighbor fitnesses under read locks --------
     if unlocked:
@@ -117,6 +130,8 @@ def evolve_individual(
                 fit[j] = pop.fitness[n]
     a, b = ops.select(fit, rng)
     p1, p2 = int(neighbors[a]), int(neighbors[b])
+    if laps is not None:
+        laps.append(perf_counter())
 
     # -- recombination: copy parents under read locks --------------------
     if unlocked:
@@ -126,7 +141,8 @@ def evolve_individual(
         with locks.read(p1):
             p1_s = pop.s[p1].copy()
             p1_ct = pop.ct[p1].copy()
-    if rng.random() < ops.p_comb:
+    crossed = rng.random() < ops.p_comb
+    if crossed:
         if unlocked:
             p2_s = pop.s[p2]  # read-only use inside child_with_ct
         else:
@@ -135,27 +151,41 @@ def evolve_individual(
         child_s, child_ct = ops.recombine(inst, p1_s, p1_ct, p2_s, ops.crossover, rng)
     else:
         child_s, child_ct = p1_s, p1_ct
+    if laps is not None:
+        laps.append(perf_counter())
 
     # -- mutation, local search, evaluation (lock-free: private data) ----
-    if rng.random() < ops.p_mut:
+    mutated = rng.random() < ops.p_mut
+    if mutated:
         ops.mutate(child_s, child_ct, inst, rng)
+    if laps is not None:
+        laps.append(perf_counter())
+    moves = -1
     if ops.local_search is not None and ops.ls_iterations > 0 and rng.random() < ops.p_ls:
-        ops.local_search(
+        moves = ops.local_search(
             child_s, child_ct, inst, rng, ops.ls_iterations, ops.ls_candidates
         )
+    if laps is not None:
+        laps.append(perf_counter())
     child_fit = float(ops.fitness(child_s, child_ct, inst))
+    if laps is not None:
+        laps.append(perf_counter())
 
     # -- replacement under a write lock ----------------------------------
     if unlocked:
-        if ops.replace(child_fit, float(pop.fitness[idx])):
+        incumbent = float(pop.fitness[idx])
+        replaced = ops.replace(child_fit, incumbent)
+        if replaced:
             pop.write_individual(idx, child_s, child_ct, child_fit)
-            return True
-        return False
-    with locks.write(idx):
-        if ops.replace(child_fit, float(pop.fitness[idx])):
-            pop.write_individual(idx, child_s, child_ct, child_fit)
-            return True
-    return False
+    else:
+        with locks.write(idx):
+            incumbent = float(pop.fitness[idx])
+            replaced = ops.replace(child_fit, incumbent)
+            if replaced:
+                pop.write_individual(idx, child_s, child_ct, child_fit)
+    if tally is not None:
+        tally.reports.append((crossed, mutated, moves, child_fit, incumbent, replaced))
+    return replaced
 
 
 @dataclass
@@ -219,10 +249,13 @@ class _EngineBase:
         self._resume: dict | None = None
         self.obs = ctx.obs
         self._obs_hooks: EngineHooks | None = None
+        #: the scalar steps' telemetry, flushed once per generation (the
+        #: vectorized engine records through ``breed`` and leaves it empty)
+        self._tally = None
         if self.obs is not None:
-            from repro.obs.instrument import instrumented_ops
+            from repro.obs.dynamics import StepTally
 
-            self.ops = instrumented_ops(self.ops, self.obs.recorder("main"))
+            self._tally = StepTally(self.obs.recorder("main"), self.ops)
             self._obs_hooks = self.obs.engine_hooks()
 
     # -- checkpoint protocol (runtime.checkpoint) ------------------------
@@ -326,6 +359,8 @@ class _EngineBase:
                 if budget.exhausted(best):
                     break
                 self._generation(budget)
+                if self._tally is not None:
+                    self._tally.flush()
                 generation = budget.next_generation()
                 if board is not None:
                     board.beat(0)
@@ -364,8 +399,9 @@ class AsyncCGA(_EngineBase):
     def _generation(self, budget: Budget) -> None:
         """One line sweep, stopping on the exact evaluation cap."""
         pop, ops, rng, neighbors = self.pop, self.ops, self.rng, self.neighbors
+        tally = self._tally
         for idx in self.sweep.tolist():
-            evolve_individual(pop, idx, neighbors[idx], ops, rng)
+            evolve_individual(pop, idx, neighbors[idx], ops, rng, tally=tally)
             budget.spend()
             if budget.cap_reached():
                 break
@@ -388,8 +424,9 @@ class SyncCGA(_EngineBase):
         # breed against the frozen parent generation (pop), write into
         # aux so no offspring is visible this generation
         view = _SyncView(pop, aux)
+        tally = self._tally
         for idx in range(pop.size):
-            evolve_individual(view, idx, neighbors[idx], ops, rng)
+            evolve_individual(view, idx, neighbors[idx], ops, rng, tally=tally)
             budget.spend()
             if budget.cap_reached():
                 break

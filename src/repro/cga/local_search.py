@@ -25,20 +25,6 @@ __all__ = ["h2ll", "h2ll_steepest", "random_move_ls", "LOCAL_SEARCHES"]
 LocalSearch = Callable[[np.ndarray, np.ndarray, ETCMatrix, np.random.Generator, int], int]
 
 
-def _publish(stats: dict | None, tried: int, accepted: int) -> None:
-    """Fold one call's move counts into an observability counter dict.
-
-    ``stats`` is a plain counter mapping (e.g. a
-    ``repro.obs.MetricRecorder.counters`` dict owned by the calling
-    thread); ``None`` — the default everywhere — skips all bookkeeping,
-    keeping the uninstrumented path allocation-free.
-    """
-    if stats is None:
-        return
-    stats["ls.moves_tried"] = stats.get("ls.moves_tried", 0.0) + tried
-    stats["ls.moves_accepted"] = stats.get("ls.moves_accepted", 0.0) + accepted
-
-
 def h2ll(
     s: np.ndarray,
     ct: np.ndarray,
@@ -46,14 +32,12 @@ def h2ll(
     rng: np.random.Generator,
     iterations: int = 5,
     n_candidates: int | None = None,
-    stats: dict | None = None,
 ) -> int:
     """Run ``iterations`` H2LL passes in place; return #moves applied.
 
     Each pass is O(m log m) for the machine sort plus O(ntasks) to list
     the loaded machine's tasks and O(N) for the candidate scan — no
-    full re-evaluation anywhere (§3.3).  ``stats`` (optional) receives
-    exact ``ls.moves_tried`` / ``ls.moves_accepted`` counter updates.
+    full re-evaluation anywhere (§3.3).
     """
     if iterations <= 0:
         return 0
@@ -62,7 +46,6 @@ def h2ll(
     ncand = n_candidates if n_candidates is not None else max(1, nm // 2)
     ncand = min(ncand, nm - 1) or 1
     moves = 0
-    tried = 0
     # the per-machine scalar work is faster on Python floats than on
     # 16-element ndarrays (profiled: numpy call overhead dominated)
     ct_l = ct.tolist()
@@ -73,7 +56,6 @@ def h2ll(
         tasks = (s == worst).nonzero()[0]  # flatnonzero minus wrappers
         if tasks.size == 0:
             break  # ready times alone define the makespan; nothing to move
-        tried += 1
         task = int(tasks[int(picks[it] * tasks.size)])
         row = etc[task].tolist()  # ETC of `task` on every machine
         best_score = ct_l[worst]  # the makespan (Algorithm 4 line 4)
@@ -90,7 +72,6 @@ def h2ll(
             moves += 1
     if moves:
         ct[:] = ct_l
-    _publish(stats, tried, moves)
     return moves
 
 
@@ -101,7 +82,6 @@ def h2ll_steepest(
     rng: np.random.Generator,
     iterations: int = 5,
     n_candidates: int | None = None,
-    stats: dict | None = None,
 ) -> int:
     """Ablation variant: examine *every* task on the loaded machine.
 
@@ -116,14 +96,12 @@ def h2ll_steepest(
     ncand = n_candidates if n_candidates is not None else max(1, instance.nmachines // 2)
     ncand = min(ncand, instance.nmachines - 1) or 1
     moves = 0
-    tried = 0
     for _ in range(iterations):
         order = np.argsort(ct, kind="stable")
         worst = int(order[-1])
         tasks = np.flatnonzero(s == worst)
         if tasks.size == 0:
             break
-        tried += 1
         candidates = order[:ncand]
         # (|tasks|, N) matrix of resulting completion times
         scores = ct[candidates][None, :] + etc_t[np.ix_(candidates, tasks)].T
@@ -138,7 +116,6 @@ def h2ll_steepest(
             moves += 1
         else:
             break  # steepest descent reached a local optimum
-    _publish(stats, tried, moves)
     return moves
 
 
@@ -149,7 +126,6 @@ def random_move_ls(
     rng: np.random.Generator,
     iterations: int = 5,
     n_candidates: int | None = None,
-    stats: dict | None = None,
 ) -> int:
     """Baseline LS: random task → random machine, keep if makespan improves.
 
@@ -161,7 +137,6 @@ def random_move_ls(
     etc_t = instance.etc_t
     nm = instance.nmachines
     moves = 0
-    tried = 0
 
     # top-3 (value, machine) pairs, descending: the "max of the rest"
     # excluding the two machines touched by a move is always among the
@@ -182,7 +157,6 @@ def random_move_ls(
         old = int(s[t])
         if old == m:
             continue
-        tried += 1
         before = peak[0][0]  # the current makespan
         new_src = float(ct[old] - etc_t[old, t])
         new_dst = float(ct[m] + etc_t[m, t])
@@ -198,7 +172,6 @@ def random_move_ls(
             s[t] = m
             moves += 1
             peak = top3()  # only accepted moves change ct
-    _publish(stats, tried, moves)
     return moves
 
 

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro.obs.dynamics import record_batch_attribution
+from repro.obs.dynamics import record_breeding
 
 __all__ = ["breed"]
 
@@ -41,10 +41,11 @@ def breed(
     ``rec`` draws none, so a recorded run is bit-identical to a plain one.
 
     With a metric recorder ``rec``, the step records the
-    ``phase.{select,crossover,mutate,ls,fitness}_us`` timings, the
-    ``ls.*`` counters, the ``op.*`` attribution (against the incumbents,
-    before any write-back), one ``sweeps`` and the
-    ``breeding.{evaluations,steps,replacements}`` counters.
+    ``phase.{select,crossover,mutate,ls,fitness}_us`` timings, one
+    ``sweeps``, and the ``op.*`` attribution (against the incumbents,
+    before any write-back) with the ``breeding.*`` and ``ls.*``
+    counters through :func:`repro.obs.dynamics.record_breeding`, the
+    recorder the scalar step's tally flushes through too.
 
     Returns ``(child_s, child_ct, child_fit, accept)``.
     """
@@ -74,7 +75,8 @@ def breed(
     ops.mutate(child_s, child_ct, inst, rng, mut)
     if rec is not None:
         t = _lap(rec, "phase.mutate_us", t)
-    ls_rows = np.empty(0, dtype=np.int64)
+    ls_rows = None
+    moves = 0
     if ops.local_search is not None and cfg.ls_iterations > 0:
         ls_rows = np.flatnonzero(rng.random(B) < cfg.p_ls)
         if ls_rows.size == B:
@@ -89,13 +91,8 @@ def breed(
             )
             child_s[ls_rows] = sub_s
             child_ct[ls_rows] = sub_ct
-        else:
-            moves = 0
         if rec is not None:
             t = _lap(rec, "phase.ls_us", t)
-            rec.inc("ls.calls", int(ls_rows.size))
-            rec.inc("ls.moves_accepted", int(moves))
-            rec.inc("ls.moves_tried", int(ls_rows.size) * cfg.ls_iterations)
     # -- evaluation + elitist replacement against the incumbents --------
     child_fit = ops.fitness(child_s, child_ct, inst)
     if rec is not None:
@@ -104,20 +101,12 @@ def breed(
     accept = ops.accept(child_fit, incumbent)
     if rec is not None:
         ls_mask = None
-        if ls_rows.size:
+        if ls_rows is not None:
             ls_mask = np.zeros(B, dtype=bool)
             ls_mask[ls_rows] = True
-        record_batch_attribution(
-            rec.counters,
-            accept,
-            child_fit,
-            incumbent,
-            crossover=comb,
-            mutation=mut,
-            ls=ls_mask,
+        record_breeding(
+            rec, accept, child_fit, incumbent, comb, mut, ls_mask, moves,
+            cfg.ls_iterations,
         )
         rec.inc("sweeps")
-        rec.inc("breeding.evaluations", B)
-        rec.inc("breeding.steps", B)
-        rec.inc("breeding.replacements", int(accept.sum()))
     return child_s, child_ct, child_fit, accept

@@ -39,7 +39,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import ThreadTracer, Tracer
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.observer import Observer, WorkerObs
-from repro.obs.instrument import instrumented_ops
 from repro.obs.report import load_bundle, render_markdown, render_terminal
 from repro.obs.live import LivePublisher, render_openmetrics
 from repro.obs.watchdog import HeartbeatBoard, StallEvent, Watchdog
@@ -79,7 +78,6 @@ __all__ = [
     "TimeSeriesSampler",
     "Observer",
     "WorkerObs",
-    "instrumented_ops",
     "load_bundle",
     "render_markdown",
     "render_terminal",

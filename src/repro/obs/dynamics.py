@@ -6,13 +6,14 @@ async-vs-sync comparison actually argues from:
 
 * **Operator attribution** — per-operator attempt / success /
   fitness-delta counters under a shared ``op.<phase>.<metric>`` naming
-  scheme.  The scalar breeding path records them through
-  :func:`repro.obs.instrument.instrumented_ops`; the batch breeding
+  scheme, recorded once per sweep by :func:`record_breeding` together
+  with the ``breeding.*`` and ``ls.*`` counters.  The batch breeding
   step :func:`repro.kernels.breed.breed` (vectorized engine, shm block
-  workers) folds whole-generation masks through
-  :func:`record_batch_attribution`.  Both paths produce the
-  same keys with the same semantics, so attribution is engine-uniform
-  and the parity test can demand identical success counts in lockstep.
+  workers) passes its whole-generation masks; the scalar step
+  :func:`repro.cga.engine.evolve_individual` reports each step into a
+  :class:`StepTally`, whose flush passes the sweep's reports as the
+  same masks.  Attribution is therefore engine-uniform and the parity
+  test can demand identical success counts in lockstep.
 * **Grid dynamics** — :class:`GridDynamics` turns periodic per-cell
   fitness snapshots into a ``grid.jsonl`` stream (fitness / age /
   improvement-count arrays per row) plus derived takeover-fraction and
@@ -35,12 +36,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
 __all__ = [
     "ATTRIBUTION_PHASES",
     "record_batch_attribution",
+    "record_breeding",
+    "StepTally",
     "attribution_summary",
     "GridDynamics",
     "takeover_fraction",
@@ -84,10 +88,9 @@ def record_batch_attribution(
     generation).  Must be called *before* the accepted children are
     written back, while ``incumbent_fit`` still holds the incumbents.
 
-    Exactly mirrors the scalar path in
-    :func:`repro.obs.instrument.instrumented_ops`: attempts = rows the
-    operator touched, successes = touched rows whose child replaced the
-    incumbent, delta = summed fitness improvement of those rows.
+    Attempts = rows the operator touched, successes = touched rows
+    whose child replaced the incumbent, delta = summed fitness
+    improvement of those rows.
     """
     accept = np.asarray(accept, dtype=bool)
     delta = np.asarray(incumbent_fit, dtype=float) - np.asarray(child_fit, dtype=float)
@@ -110,6 +113,108 @@ def record_batch_attribution(
         int(accept.sum()),
         float(delta[accept].sum()),
     )
+
+
+def record_breeding(
+    rec, accept, child_fit, incumbent_fit, crossover, mutation,
+    ls=None, ls_moves: int = 0, ls_iterations: int = 0,
+) -> None:
+    """Record one sweep of breeding steps into the recorder ``rec``.
+
+    The one recorder of both breeding paths: the ``op.*`` attribution
+    (:func:`record_batch_attribution`), ``breeding.{evaluations,steps,
+    replacements}`` and, when an LS is configured (``ls`` is its
+    applied-mask, None otherwise), ``ls.calls``, ``ls.moves_accepted``
+    (``ls_moves``, the summed LS return values) and ``ls.moves_tried``
+    (``ls.calls × ls_iterations``).
+    """
+    record_batch_attribution(
+        rec.counters, accept, child_fit, incumbent_fit,
+        crossover=crossover, mutation=mutation, ls=ls,
+    )
+    rec.inc("breeding.evaluations", accept.size)
+    rec.inc("breeding.steps", accept.size)
+    rec.inc("breeding.replacements", int(np.count_nonzero(accept)))
+    if ls is not None:
+        calls = int(np.count_nonzero(ls))
+        rec.inc("ls.calls", calls)
+        rec.inc("ls.moves_accepted", int(ls_moves))
+        rec.inc("ls.moves_tried", calls * ls_iterations)
+
+
+#: one scalar breeding step in ``STEP_SAMPLE_MASK + 1`` is observed in full
+STEP_SAMPLE_MASK = 7
+_PHASES = ("select", "crossover", "mutate", "ls", "fitness")
+
+
+class StepTally:
+    """One worker's reports of its scalar breeding steps, recorded per sweep.
+
+    :func:`repro.cga.engine.evolve_individual` calls :meth:`begin` at
+    the start of every step and appends one report to :attr:`reports`
+    at its end: ``(crossed, mutated, ls_moves, child_fit, incumbent_fit,
+    replaced)``, with ``ls_moves`` the LS return value or -1 when no LS
+    ran.  One step in eight is observed in full: :meth:`begin` hands it
+    a lap list that the step stamps after each phase, and the step runs
+    under the timed lock view ``locks`` (when given) instead of its
+    plain locks.  The other seven run the plain operators and locks.
+
+    :meth:`flush` records the sweep once: the counters through
+    :func:`record_breeding`, the lapped ``phase.*_us`` timings, and the
+    lock totals of ``locks`` scaled by steps / observed steps.  The
+    tally belongs to one thread, like its recorder ``rec``.
+    """
+
+    __slots__ = (
+        "rec", "locks", "reports", "_ls", "_ls_iterations", "_laps", "_steps",
+        "_observed",
+    )
+
+    def __init__(self, rec, ops, locks=None):
+        self.rec = rec
+        self.locks = locks
+        self.reports: list[tuple] = []
+        self._ls = ops.local_search is not None
+        self._ls_iterations = ops.ls_iterations
+        self._laps: list[list[float]] = []
+        self._steps = 0
+        self._observed = 0
+
+    def begin(self) -> list[float] | None:
+        """Count one step; its lap list if it is the observed one, else None."""
+        n = self._steps
+        self._steps = n + 1
+        if n & STEP_SAMPLE_MASK:
+            return None
+        self._observed += 1
+        laps = [perf_counter()]
+        self._laps.append(laps)
+        return laps
+
+    def flush(self) -> None:
+        """Record the reports and laps gathered since the last flush."""
+        reports, rec = self.reports, self.rec
+        if not reports:
+            return
+        crossed, mutated, moves, child, incumbent, replaced = np.array(
+            reports, dtype=float
+        ).T
+        record_breeding(
+            rec, replaced != 0, child, incumbent, crossed != 0, mutated != 0,
+            moves >= 0 if self._ls else None, moves.clip(0).sum(),
+            self._ls_iterations,
+        )
+        if self._laps:
+            lapped = np.diff(np.array(self._laps), axis=1) * 1e6
+            for phase, column in zip(_PHASES, lapped.T):
+                if phase != "ls" or self._ls:
+                    observe = rec.hist(f"phase.{phase}_us").observe
+                    for us in column.tolist():
+                        observe(us)
+        if self.locks is not None:
+            self.locks.flush(self._steps / self._observed)
+        reports.clear()
+        self._laps.clear()
 
 
 def attribution_summary(counters: dict) -> list[dict]:

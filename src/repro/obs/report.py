@@ -111,8 +111,8 @@ def _sections(meta: dict, metrics: dict, rows: list[dict], grid_rows: list[dict]
     if phase:
         sections.append(
             (
-                "Phase timings (per call, merged over threads)",
-                _table(["phase", "calls", "mean µs", "p50 µs", "p99 µs", "total s"], phase),
+                "Phase timings (observed scalar steps or batch calls, merged)",
+                _table(["phase", "samples", "mean µs", "p50 µs", "p99 µs", "sum s"], phase),
             )
         )
 

@@ -95,7 +95,7 @@ class _TimedAcquire:
     """Slotted timing wrapper around one lock acquisition.
 
     A hand-rolled context manager (not ``@contextmanager``) because this
-    sits on the hottest path of the instrumented engines: one generator
+    sits on the breeding path of the observed engines: one generator
     object per neighbor read is measurable overhead at PA-CGA rates.
     """
 
@@ -116,7 +116,7 @@ class _TimedAcquire:
         end = _perf()
         st = self._stats
         wait = self._t1 - self._t0
-        st.sampled += 1
+        st.timed += 1
         st.wait_s += wait
         st.hold_s += end - self._t1
         st.observe_wait(wait * 1e6)
@@ -126,37 +126,29 @@ class _TimedAcquire:
 class _LockStats:
     """Per-thread, per-kind accumulator for lock wait/hold times.
 
-    Acquisition *counts* are exact; wait/hold *timing* is sampled — one
-    acquisition in ``mask + 1`` is clocked, the way Go's mutex profiler
-    and ``perf`` keep profiling off the hot path.  Writes use
-    ``mask=0`` (every acquisition timed: rare and load-bearing for the
-    writer-preference analysis); the far more frequent neighbor reads
-    use ``mask=7``.  On :meth:`flush` the sampled wait/hold sums are
-    scaled by the inverse sampling rate, giving unbiased total
-    estimates; the wait histogram keeps raw sampled observations.
+    Every acquisition through the view is timed; :meth:`flush` scales
+    the totals by ``scale`` (the caller's steps / timed steps when the
+    view only sees a sample of the steps) and keeps the timed count
+    exact.  The wait histogram keeps the raw timed observations.
     :class:`_TimedAcquire` mutates the attributes directly.
     """
 
-    __slots__ = ("kind", "mask", "acquires", "sampled", "wait_s", "hold_s", "observe_wait")
+    __slots__ = ("kind", "timed", "wait_s", "hold_s", "observe_wait")
 
-    def __init__(self, kind: str, recorder, mask: int = 0):
+    def __init__(self, kind: str, recorder):
         self.kind = kind
-        self.mask = mask
-        self.acquires = 0
-        self.sampled = 0
+        self.timed = 0
         self.wait_s = 0.0
         self.hold_s = 0.0
         self.observe_wait = recorder.hist(f"lock.{kind}_wait_us").observe
 
-    def flush(self, recorder) -> None:
+    def flush(self, recorder, scale: float) -> None:
         """Publish the accumulated totals as counters (idempotent adds)."""
-        scale = float(self.mask + 1)
-        recorder.inc(f"lock.{self.kind}_acquires", self.acquires)
-        recorder.inc(f"lock.{self.kind}_timed", self.sampled)
+        recorder.inc(f"lock.{self.kind}_acquires", self.timed * scale)
+        recorder.inc(f"lock.{self.kind}_timed", self.timed)
         recorder.inc(f"lock.{self.kind}_wait_s_total", self.wait_s * scale)
         recorder.inc(f"lock.{self.kind}_hold_s_total", self.hold_s * scale)
-        self.acquires = 0
-        self.sampled = 0
+        self.timed = 0
         self.wait_s = 0.0
         self.hold_s = 0.0
 
@@ -165,7 +157,7 @@ class TimedLocks:
     """One thread's timed view of a read/write lock manager.
 
     Wraps the two-method ``read(idx)``/``write(idx)`` protocol of
-    ``base`` (a :class:`LockManager`) and charges each acquisition to
+    ``base`` (a :class:`LockManager`) and times each acquisition into
     ``recorder``, which must be private to the thread using this view —
     per-thread recording keeps the instrumentation itself lock-free
     (the no-added-contention rule of ``repro.obs``).  ``recorder`` is
@@ -173,39 +165,34 @@ class TimedLocks:
     so the lock layer stays free of any observability import.  Wait
     histograms (``lock.<kind>_wait_us``) fill as acquisitions are
     timed; the counters (``lock.<kind>_acquires``, ``_timed``,
-    ``_wait_s_total``, ``_hold_s_total``) land on :meth:`flush`.
+    ``_wait_s_total``, ``_hold_s_total``) land on :meth:`flush`.  The
+    threads engine runs only its observed 1-in-8 breeding steps through
+    the view, so there ``_timed`` is exact and the other three are
+    estimates scaled to all steps.
     """
 
     __slots__ = ("_read", "_write", "_recorder", "read_stats", "write_stats")
-
-    #: time one read acquisition in 8; see :class:`_LockStats`
-    READ_SAMPLE_MASK = 7
 
     def __init__(self, base, recorder):
         self._read = base.read
         self._write = base.write
         self._recorder = recorder
-        self.read_stats = _LockStats("read", recorder, mask=self.READ_SAMPLE_MASK)
+        self.read_stats = _LockStats("read", recorder)
         self.write_stats = _LockStats("write", recorder)
 
     def read(self, idx: int):
-        """Shared access to individual ``idx``; timing is sampled."""
-        st = self.read_stats
-        st.acquires += 1
-        if (st.acquires - 1) & st.mask:
-            return self._read(idx)
-        return _TimedAcquire(self._read(idx), st)
+        """Timed shared access to individual ``idx``."""
+        return _TimedAcquire(self._read(idx), self.read_stats)
 
     def write(self, idx: int):
         """Timed exclusive access to individual ``idx``."""
-        st = self.write_stats
-        st.acquires += 1
-        return _TimedAcquire(self._write(idx), st)
+        return _TimedAcquire(self._write(idx), self.write_stats)
 
-    def flush(self) -> None:
-        """Publish the accumulated wait/hold totals as counters."""
-        self.read_stats.flush(self._recorder)
-        self.write_stats.flush(self._recorder)
+    def flush(self, scale: float = 1.0) -> None:
+        """Publish the counters; ``acquires`` and the wait/hold totals
+        are multiplied by ``scale``."""
+        self.read_stats.flush(self._recorder, scale)
+        self.write_stats.flush(self._recorder, scale)
 
 
 class LockManager:

@@ -20,11 +20,15 @@ the free-running OS-thread loop (``_run_free``).
 
 Observability: pass ``obs=repro.obs.Observer(...)`` and every worker
 gets a private metric recorder (sweeps, sweep latency, boundary
-evaluations, phase timings and operator attribution via instrumented
-operators), each worker reads and writes the shared per-individual
-locks through its own :class:`~repro.parallel.rwlock.TimedLocks` view
-for wait/hold timing, and worker 0 samples the convergence time series.  With
-``obs=None`` the sweep runs the original untimed operators and locks.
+evaluations) and a private :class:`~repro.obs.dynamics.StepTally`.
+Every breeding step reports into the tally, which records the
+``breeding.*``/``op.*``/``ls.*`` counters once per sweep.  One step in
+eight is observed in full: its phases are lapped and it takes the
+shared per-individual locks through the worker's
+:class:`~repro.parallel.rwlock.TimedLocks` view, whose wait/hold totals
+are scaled to all steps.  The other seven, and every step with
+``obs=None``, run the plain operators and locks.  Worker 0 samples the
+convergence time series.
 
 Determinism: free-running threads are *not* reproducible — the GIL
 hands the interpreter between workers at arbitrary bytecode boundaries,
@@ -95,34 +99,34 @@ class ThreadedPACGA(PartitionedEngine):
         )
         super().__init__(instance, ctx, hooks, lockstep)
         self.locks = LockManager(self.grid.size)
-        #: per-worker ``(instrumented ops, timed locks)``, built on the
-        #: worker's first observed sweep
+        #: per-worker step tally (with its timed lock view), built on
+        #: the worker's first observed sweep
         self._obs_views: dict = {}
 
     def _step_block(self, tid: int, rng, rec=None) -> None:
         """Sweep block ``tid`` once in its fixed line order.
 
-        With a recorder ``rec`` the sweep runs the worker's instrumented
-        operators and timed locks (built once per worker), then records
-        the sweep, its boundary breeding steps and the lock totals.
+        With a recorder ``rec`` every step reports into the worker's
+        step tally (built once per worker), whose 1-in-8 observed steps
+        are lapped and run under the worker's timed locks; the sweep
+        then records itself, its boundary breeding steps and the tally.
         """
-        ops, locks = self.ops, self.locks
+        tally = None
         if rec is not None:
-            view = self._obs_views.get(tid)
-            if view is None:
-                from repro.obs.instrument import instrumented_ops
+            tally = self._obs_views.get(tid)
+            if tally is None:
+                from repro.obs.dynamics import StepTally
 
-                view = self._obs_views[tid] = (
-                    instrumented_ops(self.ops, rec), TimedLocks(self.locks, rec)
+                tally = self._obs_views[tid] = StepTally(
+                    rec, self.ops, TimedLocks(self.locks, rec)
                 )
-            ops, locks = view
-        pop, neighbors = self.pop, self.neighbors
+        pop, neighbors, ops, locks = self.pop, self.neighbors, self.ops, self.locks
         for idx in self.orders[tid]:
-            evolve_individual(pop, int(idx), neighbors[idx], ops, rng, locks)
-        if rec is not None:
+            evolve_individual(pop, int(idx), neighbors[idx], ops, rng, locks, tally)
+        if tally is not None:
             rec.inc("sweeps")
             rec.inc("boundary_evals", self._boundary_per_sweep[tid])
-            locks.flush()  # publish this sweep's lock wait/hold totals
+            tally.flush()
 
     def _run_free(self, stop: StopCondition) -> RunResult:
         """Free-running OS threads (the paper's concurrent execution)."""

@@ -42,7 +42,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from repro.cga.fitness import makespan_fitness
-from repro.cga.local_search import _publish
 from repro.kernels.batch_fitness import batch_makespan
 from repro.kernels.batch_variation import BATCH_CROSSOVER_MASKS
 from repro.problems.base import SchedulingProblem
@@ -460,7 +459,7 @@ def fs_swap_mutation(s, ct, instance, rng) -> None:
 
 
 def fs_insertion_ls(
-    s, ct, instance, rng, iterations: int = 5, n_candidates=None, stats=None
+    s, ct, instance, rng, iterations: int = 5, n_candidates=None
 ) -> int:
     """``h2ll`` analog: best reinsertion of a random job, if improving.
 
@@ -473,7 +472,6 @@ def fs_insertion_ls(
     if iterations <= 0 or instance.ntasks < 2:
         return 0
     moves = 0
-    tried = 0
     picks = rng.random(iterations)  # one pre-drawn uniform per pass
     n = instance.ntasks
     for it in range(iterations):
@@ -481,13 +479,11 @@ def fs_insertion_ls(
         job = np.asarray([s[i]])
         rest = np.delete(s, i)
         ms = insertion_makespans(instance, rest[None, :], job)[0]
-        tried += 1
         pos = int(ms.argmin())
         if ms[pos] < float(ct[-1]):
             s[:] = np.insert(rest, pos, job[0])
             ct[:] = flowshop_ct(instance, s)
             moves += 1
-    _publish(stats, tried, moves)
     return moves
 
 

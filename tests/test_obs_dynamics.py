@@ -2,14 +2,15 @@
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import pytest
 
+from repro.cga.engine import EvolutionOps, evolve_individual
+from repro.cga.replacement import replace_if_better
 from repro.obs import GridDynamics, attribution_summary, record_batch_attribution
 from repro.obs.dynamics import (
-    ATTRIBUTION_PHASES,
+    StepTally,
     entropy_timeline,
     estimate_takeover_generation,
     fitness_entropy,
@@ -18,7 +19,6 @@ from repro.obs.dynamics import (
     takeover_curve,
     takeover_fraction,
 )
-from repro.obs.instrument import instrumented_ops
 from repro.obs.metrics import MetricRecorder
 
 
@@ -192,83 +192,94 @@ class TestAttributionSummary:
         assert attribution_summary({}) == []
 
 
-@dataclass(frozen=True)
-class FakeOps:
-    """EvolutionOps-shaped bundle for driving the scalar wrappers."""
+@dataclass
+class FakePop:
+    """The slice of a population that ``evolve_individual`` touches."""
 
-    select: Callable
-    crossover: Callable
-    mutate: Callable
-    fitness: Callable
-    local_search: Optional[Callable]
-    replace: Callable
+    fitness: np.ndarray
+    s: np.ndarray
+    ct: np.ndarray
+    instance: object = None
+
+    def write_individual(self, idx, s, ct, fitness):
+        self.fitness[idx] = fitness
 
 
 class TestAttributionParity:
-    """Acceptance: scalar and batch attribution agree in lockstep.
+    """Acceptance: the scalar step's tally and a hand recount agree.
 
-    The same sequence of breeding outcomes (operator-applied masks,
-    child/incumbent fitness pairs, acceptance decisions) is fed once
-    through the scalar ``instrumented_ops`` wrappers and once through
-    ``record_batch_attribution``; attempt and success counts must be
-    bit-identical, deltas equal up to float summation order.
+    Real ``evolve_individual`` steps, with stub operators and fractional
+    ``p_comb``/``p_mut``/``p_ls``, report into a :class:`StepTally`
+    flushed every 32 steps (a sweep).  The ``op.*``/``breeding.*``/
+    ``ls.*`` counters it records through the batch recorder must equal
+    a recount of the same steps from the operators' own logs: attempt
+    and success counts exactly, deltas up to float summation order.
     """
 
-    def drive_scalar(self, counters_out, cx, mut, ls, child_fit, incumbent_fit):
-        rec = MetricRecorder("scalar")
-        accept_next = {}
-
-        def replace_rule(child, current):
-            return accept_next["value"]
-
-        ops = instrumented_ops(
-            FakeOps(
-                select=lambda fit, rng: 0,
-                crossover=lambda p1, p2, rng: p1,
-                mutate=lambda s, ct, inst, rng: s,
-                fitness=lambda s, ct, inst: 0.0,
-                local_search=lambda s, ct, inst, rng, iters, n_candidates=None, stats=None: s,
-                replace=replace_rule,
-            ),
-            rec,
-        )
-        for i in range(len(child_fit)):
-            if cx[i]:
-                ops.crossover(None, None, None)
-            if mut[i]:
-                ops.mutate(None, None, None, None)
-            if ls[i]:
-                ops.local_search(None, None, None, None, 10)
-            accept_next["value"] = bool(child_fit[i] < incumbent_fit[i])
-            ops.replace(child_fit[i], incumbent_fit[i])
-        counters_out.update(rec.counters)
-
     def test_scalar_vs_batch_counts_identical(self):
-        rng = np.random.default_rng(42)
-        n = 256
-        cx = rng.random(n) < 0.8
-        mut = rng.random(n) < 0.3
-        ls = rng.random(n) < 0.5
-        incumbent = rng.random(n) * 100.0
-        child = incumbent + rng.normal(0.0, 10.0, n)
-        accept = child < incumbent
+        n, sweep, iterations = 256, 32, 10
+        data = np.random.default_rng(42)
+        incumbent = data.random(n) * 100.0
+        child = incumbent + data.normal(0.0, 10.0, n)
+        moves = data.integers(0, 4, n)
+        applied: dict[str, list[int]] = {"crossover": [], "mutation": [], "ls": []}
+        step = 0
 
-        scalar: dict = {}
-        self.drive_scalar(scalar, cx, mut, ls, child, incumbent)
-        batch: dict = {}
-        record_batch_attribution(
-            batch, accept, child, incumbent, crossover=cx, mutation=mut, ls=ls
+        def recombine(inst, p1_s, p1_ct, p2_s, crossover, rng):
+            applied["crossover"].append(step)
+            return p1_s, p1_ct
+
+        def mutate(s, ct, inst, rng):
+            applied["mutation"].append(step)
+
+        def local_search(s, ct, inst, rng, iterations, n_candidates):
+            applied["ls"].append(step)
+            return int(moves[step])
+
+        ops = EvolutionOps(
+            fitness=lambda s, ct, inst: child[step],
+            select=lambda fit, rng: (0, 1),
+            crossover=None,
+            p_comb=0.8,
+            mutate=mutate,
+            p_mut=0.3,
+            local_search=local_search,
+            p_ls=0.5,
+            ls_iterations=iterations,
+            ls_candidates=None,
+            replace=replace_if_better,
+            recombine=recombine,
         )
+        pop = FakePop(incumbent.copy(), np.zeros((n, 1)), np.zeros((n, 1)))
+        rec = MetricRecorder("scalar")
+        tally = StepTally(rec, ops)
+        rng = np.random.default_rng(7)
+        replaced = []
+        for step in range(n):
+            neighbors = np.array([step, (step + 1) % n])
+            replaced.append(evolve_individual(pop, step, neighbors, ops, rng, tally=tally))
+            if (step + 1) % sweep == 0:
+                tally.flush()
 
-        for phase in ATTRIBUTION_PHASES:
-            for metric in ("attempts", "successes"):
-                key = f"op.{phase}.{metric}"
-                assert int(scalar.get(key, 0)) == int(batch.get(key, 0)), key
-            key = f"op.{phase}.delta"
-            assert np.isclose(scalar.get(key, 0.0), batch.get(key, 0.0)), key
-        # and the test exercised something real on both sides
-        assert batch["op.replacement.attempts"] == n
-        assert 0 < batch["op.ls.successes"] < batch["op.ls.attempts"]
+        accept = child < incumbent
+        assert replaced == accept.tolist()
+        delta = incumbent - child
+        c = rec.counters
+        for phase, steps in (*applied.items(), ("replacement", range(n))):
+            hits = [i for i in steps if accept[i]]
+            assert c[f"op.{phase}.attempts"] == len(steps), phase
+            assert c[f"op.{phase}.successes"] == len(hits), phase
+            assert c[f"op.{phase}.delta"] == pytest.approx(delta[hits].sum()), phase
+        assert c["breeding.evaluations"] == c["breeding.steps"] == n
+        assert c["breeding.replacements"] == accept.sum()
+        assert c["ls.calls"] == len(applied["ls"])
+        assert c["ls.moves_accepted"] == moves[applied["ls"]].sum()
+        assert c["ls.moves_tried"] == len(applied["ls"]) * iterations
+        # the steps exercised every phase, each with hits and misses
+        for steps in applied.values():
+            assert 0 < sum(accept[steps]) < len(steps) < n
+        # one step in 8 was lapped in full
+        assert rec.histograms["phase.ls_us"].count == n // 8
 
     def test_disabled_phase_emits_no_keys(self):
         batch: dict = {}

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cga import AsyncCGA, CGAConfig, StopCondition
+from repro.cga import AsyncCGA, CGAConfig, StopCondition, SyncCGA
 from repro.cga.vectorized import VectorizedSyncCGA
 from repro.obs import (
     Observer,
@@ -31,6 +31,11 @@ BUNDLE_FILES = {
 }
 
 
+def observed_steps(steps: int) -> int:
+    """Steps a step tally observes in full out of ``steps``: 1 in 8."""
+    return -(-steps // 8)
+
+
 class TestSequentialBundle:
     def test_async_bundle_complete_and_consistent(self, tiny_instance, tmp_path):
         out = tmp_path / "bundle"
@@ -44,8 +49,12 @@ class TestSequentialBundle:
         # breeding counters agree exactly with the engine's own counts
         assert metrics["merged"]["counters"]["breeding.evaluations"] == res.evaluations
         assert metrics["merged"]["counters"]["breeding.steps"] == res.evaluations
-        # phase histograms observed one sample per step
-        assert metrics["merged"]["histograms"]["phase.fitness_us"]["count"] == res.evaluations
+        # one breeding step in 8 (the first of each 8) is lapped in full
+        hists = metrics["merged"]["histograms"]
+        for phase in TestShmBundle.PHASES:
+            assert hists[f"phase.{phase}_us"]["count"] == observed_steps(res.evaluations)
+        counters = metrics["merged"]["counters"]
+        assert counters["ls.moves_tried"] == counters["ls.calls"] * CFG.ls_iterations
 
         rows = [
             json.loads(line)
@@ -121,7 +130,7 @@ class TestShmBundle:
     """shm records the same breeding telemetry as vectorized: both run
     the one batch breeding step, ``repro.kernels.breed.breed``.  The
     threads engine shares shm's lockstep loop, so its observed lockstep
-    run records the scalar equivalents through instrumented operators."""
+    run records the scalar equivalents through per-worker step tallies."""
 
     PHASES = ("select", "crossover", "mutate", "ls", "fitness")
 
@@ -146,26 +155,42 @@ class TestShmBundle:
         assert counters["op.crossover.attempts"] > 0
         assert counters["op.mutation.attempts"] > 0
         assert counters["boundary_evals"] > 0
+        # the batch rule, which the scalar tally adopts
+        assert counters["ls.moves_tried"] == counters["ls.calls"] * CFG.ls_iterations
         for phase in self.PHASES:
             if engine is ShmBlockPACGA:
                 # one batch kernel call per phase per sweep
                 assert hists[f"phase.{phase}_us"].count == counters["sweeps"]
             else:
-                assert hists[f"phase.{phase}_us"].count > 0
+                # each worker's tally laps 1 step in 8 of its own steps
+                assert hists[f"phase.{phase}_us"].count == sum(
+                    map(observed_steps, res.extra["per_thread_evaluations"])
+                )
 
     def test_recorder_draws_no_rng(self, tiny_instance):
-        def final_population(engine, obs):
-            eng = engine(
+        # every observed step path: the batch step (shm lockstep) and the
+        # scalar step with a tally (threads lockstep, async, sync)
+        engines = {
+            "shm": lambda obs: ShmBlockPACGA(
                 tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=True
-            )
+            ),
+            "threads": lambda obs: ThreadedPACGA(
+                tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs, lockstep=True
+            ),
+            "async": lambda obs: AsyncCGA(tiny_instance, CFG, rng=0, obs=obs),
+            "sync": lambda obs: SyncCGA(tiny_instance, CFG, rng=0, obs=obs),
+        }
+
+        def final_population(make, obs):
+            eng = make(obs)
             eng.run(StopCondition(max_generations=4))
             return eng.pop.s.copy(), eng.pop.ct.copy(), eng.pop.fitness.copy()
 
-        for engine in (ShmBlockPACGA, ThreadedPACGA):
-            plain = final_population(engine, None)
-            observed = final_population(engine, Observer(out=None, sample_every_evals=64))
+        for name, make in engines.items():
+            plain = final_population(make, None)
+            observed = final_population(make, Observer(out=None, sample_every_evals=64))
             for a, b in zip(plain, observed):
-                assert np.array_equal(a, b), engine.__name__
+                assert np.array_equal(a, b), name
 
 
 class TestSimulatedBundle:
@@ -248,8 +273,8 @@ class TestZeroOverheadWhenDisabled:
         eng = AsyncCGA(tiny_instance, CFG, rng=0)
         assert eng.obs is None
         assert eng.ops is not None
-        # instrumented ops wrap callables in closures named 'select' etc.
-        # on the obs path only; the plain path keeps the registry functions
+        # no engine wraps its operators: the plain path runs the
+        # registry functions themselves
         from repro.cga.selection import SELECTIONS
 
         assert eng.ops.select is SELECTIONS[CFG.selection]
