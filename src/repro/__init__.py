@@ -26,7 +26,7 @@ from repro.etc import (
     load_benchmark,
     make_instance,
 )
-from repro.scheduling import DeltaSchedule, Schedule, flowtime, makespan
+from repro.scheduling import Schedule, flowtime, makespan
 from repro.heuristics import HEURISTICS, min_min
 from repro.cga import AsyncCGA, CGAConfig, RunResult, StopCondition, SyncCGA, VectorizedSyncCGA
 from repro.parallel import (
@@ -49,7 +49,6 @@ __all__ = [
     "load_benchmark",
     "make_instance",
     "Schedule",
-    "DeltaSchedule",
     "makespan",
     "flowtime",
     "HEURISTICS",

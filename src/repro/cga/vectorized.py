@@ -91,15 +91,3 @@ class VectorizedSyncCGA(_EngineBase):
                 time.perf_counter() - gen_start,
                 {"generation": budget.generations + 1},
             )
-
-    def resync_drift(self) -> float:
-        """Recompute every CT row from S; return the largest drift.
-
-        The population-wide analogue of :meth:`Schedule.resync` — the
-        incremental-update invariant check used by the tests.
-        """
-        fresh = self.pop.problem.population_ct(self.instance, self.pop.s)
-        drift = float(np.abs(fresh - self.pop.ct).max(initial=0.0))
-        self.pop.ct[:] = fresh
-        self.pop.fitness[:] = self._ops.fitness(self.pop.s, self.pop.ct, self.instance)
-        return drift

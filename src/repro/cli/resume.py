@@ -11,6 +11,7 @@ from __future__ import annotations
 import sys
 
 from repro.cli.engines import positive_int
+from repro.cli.solve import print_result
 
 __all__ = ["register", "HANDLERS"]
 
@@ -95,23 +96,8 @@ def _cmd_resume(args) -> int:
     else:
         result = engine.run(stop)
 
-    inst, config = engine.instance, engine.config
     print(f"resumed from  : {args.checkpoint}")
-    print(f"instance      : {inst.name}")
-    print(f"engine        : {engine.engine_name} ({config.n_threads} thread(s))")
-    print(f"best makespan : {result.best_fitness:,.2f}")
-    print(f"evaluations   : {result.evaluations:,}")
-    print(f"generations   : {result.generations}")
-    if args.gantt:
-        from repro.util import render_gantt
-
-        print()
-        print(render_gantt(result.best_schedule(inst)))
-    if args.out:
-        from repro.util import save_result
-
-        save_result(result, args.out)
-        print(f"result written to {args.out}")
+    print_result(args, engine.instance, engine.engine_name, engine.config, result)
     if ckpt_path is not None:
         print(f"checkpoint    : {ckpt_path}")
     return 0

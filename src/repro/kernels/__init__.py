@@ -12,26 +12,21 @@ flat population buffers (``s``: ``(P, ntasks)``, ``ct``:
 Every kernel is the batch analogue of a scalar operator and is gated by
 equivalence tests (``tests/test_kernels.py``): batch completion times
 must match :func:`repro.scheduling.schedule.compute_completion_times`
-row by row, batch CT deltas must match :meth:`Schedule.apply_delta`,
-and the batch H2LL pass must preserve the same invariants as
-:func:`repro.cga.local_search.h2ll` (makespan never increases, CT stays
-exact).  :func:`repro.kernels.breed.breed` composes these kernels into
+row by row, the ETC recombine's CT delta must match
+:meth:`Schedule.apply_delta`, and the batch H2LL pass must preserve the
+same invariants as :func:`repro.cga.local_search.h2ll` (makespan never
+increases, CT stays exact).  :func:`repro.kernels.breed.breed` composes these kernels into
 the one batch breeding step that both
 :class:`repro.cga.vectorized.VectorizedSyncCGA` and the shared-memory
 block engine (:mod:`repro.parallel.shm`) run.
 """
 
-from repro.kernels.batch_ct import (
-    batch_completion_times,
-    batch_ct_delta,
-    batch_resync_drift,
-)
+from repro.kernels.batch_ct import batch_completion_times, batch_resync_drift
 from repro.kernels.batch_fitness import (
     BATCH_FITNESS,
     batch_makespan,
     batch_mean_flowtime,
     batch_weighted_fitness,
-    resolve_batch_fitness,
 )
 from repro.kernels.batch_select import (
     BATCH_SELECTIONS,
@@ -48,11 +43,11 @@ from repro.kernels.batch_variation import (
     batch_rebalance_mutation,
     batch_swap_mutation,
     crossover_mask,
-    resolve_batch_crossover,
 )
 from repro.kernels.batch_ls import BATCH_LOCAL_SEARCHES, batch_h2ll
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -87,18 +82,6 @@ class BatchOps:
     accept: Callable
     cross_mask: Callable
     recombine: Callable
-
-
-def _masked(mask_fn: Callable) -> Callable:
-    """Bind a mask generator into the (P, n, rng, active) call shape."""
-
-    def cross_mask(P, n, rng, active=None):
-        mask = mask_fn(P, n, rng)
-        if active is not None:
-            mask &= active[:, None]
-        return mask
-
-    return cross_mask
 
 
 def resolve_batch_ops(config, problem=None) -> BatchOps:
@@ -153,7 +136,7 @@ def resolve_batch_ops(config, problem=None) -> BatchOps:
         mutate,
         local_search,
         accept,
-        _masked(problem.batch_cross_masks[config.crossover]),
+        partial(crossover_mask, problem.batch_cross_masks[config.crossover]),
         problem.batch_recombine,
     )
 
@@ -163,13 +146,11 @@ __all__ = [
     "BatchOps",
     "resolve_batch_ops",
     "batch_completion_times",
-    "batch_ct_delta",
     "batch_resync_drift",
     "BATCH_FITNESS",
     "batch_makespan",
     "batch_mean_flowtime",
     "batch_weighted_fitness",
-    "resolve_batch_fitness",
     "BATCH_SELECTIONS",
     "batch_best_two",
     "batch_center_plus_best",
@@ -182,7 +163,6 @@ __all__ = [
     "batch_rebalance_mutation",
     "batch_swap_mutation",
     "crossover_mask",
-    "resolve_batch_crossover",
     "BATCH_LOCAL_SEARCHES",
     "batch_h2ll",
 ]

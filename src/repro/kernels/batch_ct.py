@@ -1,10 +1,12 @@
 """Batch completion-time kernels.
 
-The scalar reference is :func:`repro.scheduling.schedule.compute_completion_times`
-(one ``np.add.at`` scatter per individual).  For a whole population the
-scatter is expressed as a single :func:`numpy.bincount` over the
-flattened ``(P * nmachines)`` index space — bincount compiles to one C
-loop and is several times faster than ``np.add.at`` on this workload.
+:func:`batch_completion_times` is the one whole-population CT
+recompute: the independent problem's ``population_ct`` and the drift
+check both run it.  It scatters with ``np.add.at`` over a buffer that
+already holds the ready times, so every machine accumulates its ready
+time first and then its tasks in index order — the order of the scalar
+reference :func:`repro.scheduling.schedule.compute_completion_times`,
+which it therefore matches bit for bit, ready times included.
 
 The CT delta finds changed genes by ``flatnonzero`` + ``divmod`` and
 gathers ETC at flat row-major offsets; it needs a C-contiguous ``ct``
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro.etc.model import ETCMatrix
 
-__all__ = ["batch_completion_times", "batch_ct_delta", "batch_resync_drift"]
+__all__ = ["batch_completion_times", "batch_resync_drift"]
 
 
 def _require_c_contiguous(**arrays: np.ndarray) -> None:
@@ -28,51 +30,23 @@ def _require_c_contiguous(**arrays: np.ndarray) -> None:
             raise ValueError(f"{name} must be C-contiguous, got a strided view")
 
 
-def _as_batch(S: np.ndarray, ntasks: int) -> np.ndarray:
-    S = np.asarray(S)
-    if S.ndim != 2 or S.shape[1] != ntasks:
-        raise ValueError(f"S must be (P, ntasks={ntasks}), got {S.shape}")
-    return S
-
-
 def batch_completion_times(instance: ETCMatrix, S: np.ndarray) -> np.ndarray:
     """Completion times of every individual: ``(P, ntasks) -> (P, nmachines)``.
 
     ``out[p, m] = ready[m] + sum of ETC[t, m] over tasks t with
     S[p, t] = m`` — eq. 2 applied to the whole population with one
-    flattened ``bincount`` scatter-add.
+    flattened, unbuffered scatter-add in the scalar recompute's order.
     """
     nt, nm = instance.ntasks, instance.nmachines
-    S = _as_batch(S, nt)
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[1] != nt:
+        raise ValueError(f"S must be (P, ntasks={nt}), got {S.shape}")
     P = S.shape[0]
-    vals = instance.etc[np.arange(nt)[None, :], S]  # (P, nt) gather
-    flat_idx = (np.arange(P)[:, None] * nm + S).ravel()
-    ct = np.bincount(flat_idx, weights=vals.ravel(), minlength=P * nm)
-    return ct.reshape(P, nm) + instance.ready_times[None, :]
-
-
-def batch_ct_delta(
-    instance: ETCMatrix,
-    ct: np.ndarray,
-    old_S: np.ndarray,
-    new_S: np.ndarray,
-) -> None:
-    """Update ``ct`` in place for a batch reassignment ``old_S -> new_S``.
-
-    The vectorized analogue of :meth:`Schedule.apply_delta`: only the
-    genes where the two assignment matrices disagree contribute, so the
-    cost is O(#changed genes) scatter work regardless of ``ntasks``.
-    """
-    nt, nm = instance.ntasks, instance.nmachines
-    old_S = _as_batch(old_S, nt)
-    new_S = _as_batch(new_S, nt)
-    if old_S.shape != new_S.shape:
-        raise ValueError("old_S and new_S must have the same shape")
-    P = old_S.shape[0]
-    if ct.shape != (P, nm):
-        raise ValueError(f"ct must be (P={P}, nmachines={nm}), got {ct.shape}")
-    changed = np.flatnonzero(old_S != new_S)
-    _scatter_ct_delta(instance, ct, changed, old_S.ravel()[changed], new_S.ravel()[changed])
+    ct = np.tile(instance.ready_times, P)
+    cols = S.ravel()
+    vals = instance.etc[np.tile(np.arange(nt), P), cols]
+    np.add.at(ct, np.repeat(np.arange(P) * nm, nt) + cols, vals)
+    return ct.reshape(P, nm)
 
 
 def _scatter_ct_delta(instance, ct, changed, old, new) -> None:

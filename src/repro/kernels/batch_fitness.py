@@ -21,7 +21,6 @@ __all__ = [
     "batch_mean_flowtime",
     "batch_weighted_fitness",
     "BATCH_FITNESS",
-    "resolve_batch_fitness",
 ]
 
 BatchFitness = Callable[[np.ndarray, np.ndarray, ETCMatrix], np.ndarray]
@@ -77,13 +76,3 @@ BATCH_FITNESS: dict[str, BatchFitness] = {
     "makespan": batch_makespan,
     "makespan+flowtime": batch_weighted_fitness,
 }
-
-
-def resolve_batch_fitness(name: str) -> BatchFitness:
-    """Look up a batch fitness kernel by scalar-registry name."""
-    try:
-        return BATCH_FITNESS[name]
-    except KeyError:
-        raise KeyError(
-            f"no batch fitness kernel for {name!r}; known: {', '.join(BATCH_FITNESS)}"
-        ) from None

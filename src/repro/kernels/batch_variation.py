@@ -2,8 +2,9 @@
 
 Crossover is factored as in the scalar operators: the *shape* of the
 operator is a boolean ``(P, ntasks)`` inheritance mask (True = take the
-gene from parent 2), and the child's CT follows from parent 1's by the
-incremental delta rule (:func:`repro.kernels.batch_ct.batch_ct_delta`).
+gene from parent 2), and the problem's ``batch_recombine`` applies it,
+deriving the child's CT from parent 1's (for the independent problem by
+the incremental delta rule, ``repro.kernels.batch_ct._scatter_ct_delta``).
 Mutations update ``(s, ct)`` in place with one O(1)-per-row scatter,
 mirroring :mod:`repro.cga.mutation`.
 """
@@ -21,7 +22,6 @@ from repro.etc.model import ETCMatrix
 __all__ = [
     "crossover_mask",
     "BATCH_CROSSOVER_MASKS",
-    "resolve_batch_crossover",
     "batch_move_mutation",
     "batch_swap_mutation",
     "batch_rebalance_mutation",
@@ -72,26 +72,16 @@ BATCH_CROSSOVER_MASKS: dict[str, MaskFn] = {
 }
 
 
-def resolve_batch_crossover(name: str) -> MaskFn:
-    """Look up a batch crossover mask generator by scalar-registry name."""
-    try:
-        return BATCH_CROSSOVER_MASKS[name]
-    except KeyError:
-        raise KeyError(
-            f"no batch crossover kernel for {name!r}; known: {', '.join(BATCH_CROSSOVER_MASKS)}"
-        ) from None
-
-
 def crossover_mask(
-    name: str, P: int, n: int, rng: np.random.Generator, active: np.ndarray | None = None
+    mask_fn: MaskFn, P: int, n: int, rng: np.random.Generator, active: np.ndarray | None = None
 ) -> np.ndarray:
-    """Inheritance mask for P simultaneous crossovers.
+    """Inheritance mask for P simultaneous crossovers drawn by ``mask_fn``.
 
     ``active`` (the per-row ``p_comb`` coin flips) zeroes the mask of
     rows that skip recombination, so those children are parent-1 clones
     exactly as in the scalar breeding step.
     """
-    mask = resolve_batch_crossover(name)(P, n, rng)
+    mask = mask_fn(P, n, rng)
     if active is not None:
         mask &= active[:, None]
     return mask

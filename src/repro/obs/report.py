@@ -14,16 +14,26 @@ from pathlib import Path
 
 __all__ = ["render_terminal", "render_markdown", "load_bundle"]
 
-#: histogram metric suffix → phase display name, in report order.
-_PHASE_ORDER = [
-    ("phase.select_us", "selection"),
-    ("phase.crossover_us", "crossover"),
-    ("phase.mutate_us", "mutation"),
-    ("phase.ls_us", "local search"),
-    ("phase.fitness_us", "fitness"),
-    ("sweep_us", "block sweep"),
-    ("lock.read_wait_us", "lock read wait"),
-    ("lock.write_wait_us", "lock write wait"),
+#: timing tables, one per sampling unit so no column mixes units:
+#: (title, first-column header, [(histogram key, row label)]), in report order.
+_TIMING_TABLES = [
+    (
+        "Phase timings (one sample per observed scalar step or batch call)",
+        "phase",
+        [
+            ("phase.select_us", "selection"),
+            ("phase.crossover_us", "crossover"),
+            ("phase.mutate_us", "mutation"),
+            ("phase.ls_us", "local search"),
+            ("phase.fitness_us", "fitness"),
+        ],
+    ),
+    ("Sweep timings (one sample per block sweep)", "sweep", [("sweep_us", "block sweep")]),
+    (
+        "Lock waits (one sample per timed acquisition)",
+        "lock",
+        [("lock.read_wait_us", "read wait"), ("lock.write_wait_us", "write wait")],
+    ),
 ]
 
 
@@ -48,10 +58,9 @@ def _fmt(v, digits: int = 2) -> str:
     return f"{v:,}" if isinstance(v, int) else str(v)
 
 
-def _phase_rows(merged: dict) -> list[list[str]]:
+def _timing_rows(hists: dict, keys: list[tuple[str, str]]) -> list[list[str]]:
     rows = []
-    hists = merged.get("histograms", {})
-    for key, label in _PHASE_ORDER:
+    for key, label in keys:
         h = hists.get(key)
         if h is None or not h.get("count"):
             continue
@@ -107,14 +116,12 @@ def _sections(meta: dict, metrics: dict, rows: list[dict], grid_rows: list[dict]
             head.append(f"{key}: {_fmt(result[key])}")
     sections.append(("Run", "\n".join(head) or "(no metadata)"))
 
-    phase = _phase_rows(merged)
-    if phase:
-        sections.append(
-            (
-                "Phase timings (observed scalar steps or batch calls, merged)",
-                _table(["phase", "samples", "mean µs", "p50 µs", "p99 µs", "sum s"], phase),
-            )
-        )
+    hists = merged.get("histograms", {})
+    for title, unit, keys in _TIMING_TABLES:
+        timing = _timing_rows(hists, keys)
+        if timing:
+            headers = [unit, "samples", "mean µs", "p50 µs", "p99 µs", "sum s"]
+            sections.append((title, _table(headers, timing)))
 
     threads = _thread_rows(metrics.get("per_thread", {}))
     if threads:

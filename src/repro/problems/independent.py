@@ -23,7 +23,7 @@ from repro.cga.mutation import MUTATIONS, move_mutation
 from repro.etc.model import ETCMatrix
 from repro.etc.registry import BENCHMARK_INSTANCES, load_benchmark
 from repro.etc import io as etc_io
-from repro.kernels.batch_ct import _scatter_ct_delta
+from repro.kernels.batch_ct import _scatter_ct_delta, batch_completion_times
 from repro.kernels.batch_fitness import BATCH_FITNESS
 from repro.kernels.batch_ls import BATCH_LOCAL_SEARCHES
 from repro.kernels.batch_variation import BATCH_CROSSOVER_MASKS, BATCH_MUTATIONS
@@ -49,20 +49,6 @@ def load_etc_instance(spec: str) -> ETCMatrix:
 def _random_genomes(instance: ETCMatrix, rng: np.random.Generator, shape) -> np.ndarray:
     # One draw, identical to the pre-refactor Population.init_random.
     return rng.integers(0, instance.nmachines, size=shape, dtype=np.int32)
-
-
-def _population_ct(instance: ETCMatrix, S: np.ndarray) -> np.ndarray:
-    """Whole-population CT recompute: one flattened scatter-add."""
-    inst = instance
-    n = S.shape[0]
-    ct = np.empty((n, inst.nmachines), dtype=np.float64)
-    ct[:] = inst.ready_times[None, :]
-    rows = np.repeat(np.arange(n), inst.ntasks)
-    cols = S.ravel()
-    tasks = np.tile(np.arange(inst.ntasks), n)
-    flat = ct.ravel()
-    np.add.at(flat, rows * inst.nmachines + cols, inst.etc[tasks, cols])
-    return flat.reshape(ct.shape)
 
 
 def _random_move(s, ct, instance, rng) -> float:
@@ -98,7 +84,7 @@ INDEPENDENT = SchedulingProblem(
     alphabet=lambda instance: instance.nmachines,
     random_genomes=_random_genomes,
     evaluate=compute_completion_times,
-    population_ct=_population_ct,
+    population_ct=batch_completion_times,
     random_move=_random_move,
     check_genome=validate_assignment,
     check_ct=check_completion_times,

@@ -1,79 +1,25 @@
-"""Exact delta evaluation: O(moved) updates, O(1) makespan reads.
+"""O(1) makespan reads over a live completion-time vector.
 
-:func:`repro.scheduling.schedule.compute_completion_times` costs
-O(ntasks) per call, and :class:`Schedule`'s incremental ``+=/-=``
-updates — while fast — drift from the full recomputation by float
-rounding over long mutation chains (hence :meth:`Schedule.resync`).
-This module provides the third point in that design space: updates
-that are *bit-identical* to the full recomputation at every step,
-without paying for it.
-
-The trick is that ``np.add.at`` (the recompute) accumulates each
-machine's load left-to-right over tasks in ascending index order, in
-float64.  :func:`sequential_loads` replays exactly that accumulation
-for selected machines only, so recomputing just the two machines a
-move touches yields the same bits as recomputing everything —
-IEEE-754 addition is deterministic, only the *order* matters, and the
-order per machine is independent of the other machines.
-
-Makespan then needs a max over machines; :class:`PeakTracker` caches
-the top three completion times so the common queries are O(1):
+Makespan is a max over machines; :class:`PeakTracker` caches the top
+three completion times so the common queries are O(1):
 
 * ``max()`` — the makespan (the global peak);
 * ``max_excluding(a, b)`` — the peak outside ≤2 machines (what a
   move/swap probe needs: three candidates minus two exclusions always
   leaves one, and a selection — unlike a sum — is exact by nature).
 
-:class:`DeltaSchedule` composes the two into a mutable schedule whose
-``ct`` equals ``compute_completion_times(instance, s)`` *bitwise* after
-any chain of moves (the randomized contract test asserts this), with
-O(tasks-on-two-machines) move cost and O(1) makespan.  The simulated
-annealing baseline uses :class:`PeakTracker` directly to drop the
-O(nmachines) ``np.delete(...).max()`` from its proposal loop while
-producing a bit-identical trajectory.
+The simulated annealing baseline uses it to drop the O(nmachines)
+``np.delete(...).max()`` from its proposal loop while producing a
+bit-identical trajectory.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.etc.model import ETCMatrix
-from repro.scheduling.schedule import compute_completion_times
-
-__all__ = ["sequential_loads", "PeakTracker", "DeltaSchedule"]
-
-
-def sequential_loads(
-    instance: ETCMatrix,
-    assignment: np.ndarray,
-    machines: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Completion times for ``machines``, bit-identical to the recompute.
-
-    Accumulates ``ready[m] + sum of ETC[t][m]`` left-to-right over the
-    machine's tasks in ascending task order — the exact order
-    ``np.add.at`` uses inside :func:`compute_completion_times` — so the
-    result equals the full recomputation's entries bitwise.  Cost is
-    O(ntasks) for the mask plus O(tasks on m) per machine.
-
-    ``machines=None`` recomputes all of them (returns ``(nmachines,)``);
-    otherwise the result aligns with the ``machines`` sequence.
-    """
-    s = np.asarray(assignment)
-    etc_t = instance.etc_t
-    ready = instance.ready_times
-    if machines is None:
-        machines = range(instance.nmachines)
-    out = np.empty(len(machines), dtype=np.float64)
-    for k, m in enumerate(machines):
-        acc = float(ready[m])
-        row = etc_t[m]
-        for t in np.flatnonzero(s == m):
-            acc += float(row[t])
-        out[k] = acc
-    return out
+__all__ = ["PeakTracker"]
 
 
 class PeakTracker:
@@ -127,93 +73,3 @@ class PeakTracker:
             if i not in exclude:
                 return v
         return 0.0
-
-
-class DeltaSchedule:
-    """A schedule whose ``ct`` is *bitwise* exact under any move chain.
-
-    Same representation as :class:`~repro.scheduling.schedule.Schedule`
-    (``s`` + cached ``ct``) but every mutation recomputes the touched
-    machines with :func:`sequential_loads` instead of ``+=``/``-=``, so
-    ``ct == compute_completion_times(instance, s)`` bit-for-bit at all
-    times — no drift, no ``resync`` needed — while a move still costs
-    only O(tasks on the two machines).  :meth:`makespan` is O(1) via
-    the embedded :class:`PeakTracker`.
-    """
-
-    __slots__ = ("instance", "s", "ct", "peaks")
-
-    def __init__(self, instance: ETCMatrix, assignment: np.ndarray):
-        assignment = np.asarray(assignment, dtype=np.int32)
-        if assignment.shape != (instance.ntasks,):
-            raise ValueError(
-                f"assignment shape {assignment.shape} != (ntasks={instance.ntasks},)"
-            )
-        if (
-            assignment.min(initial=0) < 0
-            or assignment.max(initial=0) >= instance.nmachines
-        ):
-            raise ValueError("assignment contains out-of-range machine indices")
-        self.instance = instance
-        self.s = assignment.copy()
-        self.ct = compute_completion_times(instance, self.s)
-        self.peaks = PeakTracker(self.ct)
-
-    def makespan(self) -> float:
-        """Current makespan in O(1)."""
-        return self.peaks.max()
-
-    def probe_move(self, task: int, machine: int) -> float:
-        """Makespan *if* ``task`` moved to ``machine`` — without moving.
-
-        O(tasks on the two machines); the returned value is bitwise the
-        makespan :meth:`move` + :meth:`makespan` would produce.
-        """
-        old = int(self.s[task])
-        if old == machine:
-            return self.makespan()
-        new_src = self._load_without(old, task)
-        new_dst = self._load_with(machine, task)
-        return max(self.peaks.max_excluding(old, machine), new_src, new_dst)
-
-    def move(self, task: int, machine: int) -> None:
-        """Reassign ``task``; exact O(moved) update of the two machines."""
-        old = int(self.s[task])
-        if old == machine:
-            return
-        self.s[task] = machine
-        self.ct[[old, machine]] = sequential_loads(
-            self.instance, self.s, (old, machine)
-        )
-        self.peaks.notify((old, machine))
-
-    def apply_delta(self, tasks: np.ndarray, machines: np.ndarray) -> None:
-        """Batch reassignment; recomputes every touched machine exactly."""
-        tasks = np.asarray(tasks)
-        machines = np.asarray(machines, dtype=np.int32)
-        if tasks.shape != machines.shape:
-            raise ValueError("tasks and machines must have the same shape")
-        if tasks.size == 0:
-            return
-        touched = np.unique(np.concatenate([self.s[tasks], machines]))
-        self.s[tasks] = machines
-        self.ct[touched] = sequential_loads(self.instance, self.s, touched)
-        self.peaks.notify(int(m) for m in touched)
-
-    # -- probe helpers (ascending-order accumulation, see module doc) ----
-    def _load_without(self, machine: int, task: int) -> float:
-        row = self.instance.etc_t[machine]
-        acc = float(self.instance.ready_times[machine])
-        for t in np.flatnonzero(self.s == machine):
-            if t != task:
-                acc += float(row[t])
-        return acc
-
-    def _load_with(self, machine: int, task: int) -> float:
-        mask = self.s == machine
-        mask[task] = True
-        row = self.instance.etc_t[machine]
-        acc = float(self.instance.ready_times[machine])
-        for t in np.flatnonzero(mask):
-            acc += float(row[t])
-        return acc

@@ -142,6 +142,20 @@ class TestSolve:
         assert a == b
 
 
+class TestResume:
+    def test_flowshop_resume_with_gantt(self, tmp_path, capsys):
+        """resume reports through solve's block, so --gantt prints the job order."""
+        ckpt = tmp_path / "fs.ckpt"
+        solve = ["solve", "--problem", "flowshop", "--engine", "async", "--evals", "300"]
+        assert main(solve + ["--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["resume", str(ckpt), "--evals", "600", "--gantt"]) == 0
+        out = capsys.readouterr().out
+        assert f"resumed from  : {ckpt}" in out
+        assert "evaluations   : 600" in out
+        assert "job order :" in out
+
+
 class TestObsFlagValidation:
     """Obs flags configure the bundle, so without --obs-out they are an
     error, not silently ignored."""

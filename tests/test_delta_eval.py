@@ -1,40 +1,12 @@
-"""Delta evaluation: bit-identical to full recomputation, O(1) peaks.
+"""PeakTracker: O(1) peak reads over a live completion-time vector.
 
-The acceptance contract for :mod:`repro.scheduling.delta`: after *any*
-randomized chain of moves/batch reassignments, ``DeltaSchedule.ct``
-equals ``compute_completion_times(instance, s)`` with ``np.array_equal``
-— bitwise, not approximately — and every peak query matches the
-equivalent ``np.max`` expression exactly.
+Every peak query must match the equivalent ``np.max`` expression
+exactly, under any chain of mutations reported through ``notify``.
 """
 
 import numpy as np
-import pytest
 
-from repro.scheduling import (
-    DeltaSchedule,
-    PeakTracker,
-    Schedule,
-    compute_completion_times,
-    sequential_loads,
-)
-
-
-class TestSequentialLoads:
-    def test_matches_full_recompute_bitwise(self, tiny_instance, rng):
-        s = rng.integers(0, tiny_instance.nmachines, tiny_instance.ntasks)
-        full = compute_completion_times(tiny_instance, s)
-        assert np.array_equal(sequential_loads(tiny_instance, s), full)
-
-    def test_machine_subset_aligns_with_argument_order(self, tiny_instance, rng):
-        s = rng.integers(0, tiny_instance.nmachines, tiny_instance.ntasks)
-        full = compute_completion_times(tiny_instance, s)
-        got = sequential_loads(tiny_instance, s, (3, 0, 2))
-        assert np.array_equal(got, full[[3, 0, 2]])
-
-    def test_empty_machine_is_ready_time(self, tiny_instance):
-        s = np.zeros(tiny_instance.ntasks, dtype=np.int32)  # all on machine 0
-        loads = sequential_loads(tiny_instance, s, (1, 2))
-        assert np.array_equal(loads, tiny_instance.ready_times[[1, 2]])
+from repro.scheduling import PeakTracker, compute_completion_times
 
 
 class TestPeakTracker:
@@ -71,70 +43,3 @@ class TestPeakTracker:
     def test_all_machines_excluded_returns_zero(self):
         peaks = PeakTracker(np.array([3.0, 7.0]))
         assert peaks.max_excluding(0, 1) == 0.0
-
-
-class TestDeltaScheduleContract:
-    def test_randomized_move_chain_stays_bit_identical(self, small_instance, rng):
-        """The acceptance criterion: thousands of random moves, exact ct."""
-        s0 = rng.integers(0, small_instance.nmachines, small_instance.ntasks)
-        ds = DeltaSchedule(small_instance, s0)
-        for step in range(2000):
-            task = int(rng.integers(0, small_instance.ntasks))
-            machine = int(rng.integers(0, small_instance.nmachines))
-            ds.move(task, machine)
-            if step % 50 == 0:
-                full = compute_completion_times(small_instance, ds.s)
-                assert np.array_equal(ds.ct, full), f"drift at step {step}"
-                assert ds.makespan() == full.max()
-        full = compute_completion_times(small_instance, ds.s)
-        assert np.array_equal(ds.ct, full)
-        assert ds.makespan() == full.max()
-
-    def test_plain_schedule_does_drift_which_is_why_delta_exists(
-        self, small_instance, rng
-    ):
-        """Control: Schedule's += updates are approximate, Delta's exact."""
-        s0 = rng.integers(0, small_instance.nmachines, small_instance.ntasks)
-        sched = Schedule(small_instance, s0)
-        ds = DeltaSchedule(small_instance, s0)
-        exact = True
-        for _ in range(2000):
-            task = int(rng.integers(0, small_instance.ntasks))
-            machine = int(rng.integers(0, small_instance.nmachines))
-            sched.move(task, machine)
-            ds.move(task, machine)
-            full = compute_completion_times(small_instance, sched.s)
-            exact = exact and np.array_equal(sched.ct, full)
-            assert np.array_equal(ds.ct, full)
-        # not asserting `not exact` — just that Delta never broke where
-        # Schedule is only close; the tolerance-based invariant:
-        np.testing.assert_allclose(sched.ct, ds.ct, rtol=1e-9)
-
-    def test_probe_move_matches_committed_move_bitwise(self, tiny_instance, rng):
-        s0 = rng.integers(0, tiny_instance.nmachines, tiny_instance.ntasks)
-        ds = DeltaSchedule(tiny_instance, s0)
-        for _ in range(300):
-            task = int(rng.integers(0, tiny_instance.ntasks))
-            machine = int(rng.integers(0, tiny_instance.nmachines))
-            probed = ds.probe_move(task, machine)
-            ds.move(task, machine)
-            assert probed == ds.makespan()
-
-    def test_apply_delta_batch_stays_exact(self, small_instance, rng):
-        s0 = rng.integers(0, small_instance.nmachines, small_instance.ntasks)
-        ds = DeltaSchedule(small_instance, s0)
-        for _ in range(100):
-            k = int(rng.integers(1, 12))
-            tasks = rng.choice(small_instance.ntasks, size=k, replace=False)
-            machines = rng.integers(0, small_instance.nmachines, k)
-            ds.apply_delta(tasks, machines)
-            full = compute_completion_times(small_instance, ds.s)
-            assert np.array_equal(ds.ct, full)
-            assert ds.makespan() == full.max()
-
-    def test_rejects_bad_assignment(self, tiny_instance):
-        with pytest.raises(ValueError):
-            DeltaSchedule(tiny_instance, np.zeros(3, dtype=np.int32))
-        bad = np.full(tiny_instance.ntasks, tiny_instance.nmachines, dtype=np.int32)
-        with pytest.raises(ValueError):
-            DeltaSchedule(tiny_instance, bad)

@@ -8,7 +8,10 @@ themselves drift:
   block names a real subcommand, real flags on that subcommand, and
   real engine/problem names where ``--engine`` / ``--problem`` appear;
 * every ```python fenced block in docs/*.md actually executes (skip a
-  block by preceding its fence with ``<!-- notest -->``).
+  block by preceding its fence with ``<!-- notest -->``);
+* every inline-code span that starts with a CamelCase identifier names
+  a class or function defined under ``src/repro``, a Python builtin, or
+  an entry of a short allowlist of outside names.
 
 Coverage is also asserted positively: each docs page is in the scanned
 set, and every canonical engine and problem name is mentioned
@@ -17,6 +20,8 @@ somewhere in the documentation.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 import shlex
 from pathlib import Path
@@ -256,3 +261,40 @@ def test_examples_importable():
     assert examples
     for path in examples:
         compile(path.read_text(encoding="utf-8"), str(path), "exec")
+
+
+# ---------------------------------------------------------------------------
+# CamelCase names in inline code
+# ---------------------------------------------------------------------------
+
+#: CamelCase names the docs cite from outside ``src/repro``.
+_OUTSIDE_NAMES = {
+    "Process",  # multiprocessing.Process
+    "RawArray",  # multiprocessing.RawArray
+    "SimpleQueue",  # multiprocessing.SimpleQueue
+    "TimeoutStopSec",  # systemd unit setting
+}
+
+#: an inline-code span that starts with a CamelCase identifier, e.g.
+#: `Schedule`, `Schedule.apply_delta`, `StopCondition(...)`.
+_LEADING_CAMEL = re.compile(r"([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?=$|[.(\[])")
+
+
+def _defined_names():
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+    return names
+
+
+def test_camelcase_code_names_exist():
+    known = _defined_names() | _OUTSIDE_NAMES
+    stale = []
+    for page in DOC_SET:
+        for span in re.findall(r"`([^`]+)`", _outside_fences(_read(page))):
+            m = _LEADING_CAMEL.match(span.strip())
+            if m and m.group(1) not in known and not hasattr(builtins, m.group(1)):
+                stale.append(f"{page}: `{span.strip()}`")
+    assert not stale, "docs name code that does not exist:\n" + "\n".join(stale)

@@ -3,13 +3,16 @@ scalar ``Schedule``/operator semantics on randomized instances.
 
 These tests gate the vectorized engine: every batch kernel is checked
 against its scalar reference (``compute_completion_times``,
-``Schedule.apply_delta``, the fitness functions, the selectors) or, for
+``Schedule.apply_delta`` for the ETC recombine's CT delta, the fitness
+functions, the selectors) or, for
 the randomized kernels, against the invariants the scalar operator
 guarantees (CT stays exact, makespan never increases under H2LL,
 assignments stay in range).
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.cga.fitness import makespan_fitness, weighted_fitness
 from repro.cga.selection import best_two, center_plus_best
-from repro.etc import make_instance
+from repro.etc import load_benchmark, make_instance
+from repro.etc.model import ETCMatrix
 from repro.kernels import (
     BATCH_CROSSOVER_MASKS,
     BATCH_FITNESS,
@@ -28,7 +32,6 @@ from repro.kernels import (
     batch_best_two,
     batch_center_plus_best,
     batch_completion_times,
-    batch_ct_delta,
     batch_h2ll,
     batch_makespan,
     batch_mean_flowtime,
@@ -37,10 +40,11 @@ from repro.kernels import (
     batch_tournament_pair,
     batch_weighted_fitness,
     crossover_mask,
-    resolve_batch_fitness,
+    resolve_batch_ops,
     resolve_batch_selection,
 )
 from repro.kernels.batch_ls import _random_task_on
+from repro.problems.independent import INDEPENDENT
 from repro.scheduling.schedule import Schedule, compute_completion_times
 
 # shared hypothesis strategy: a random instance geometry + seed
@@ -65,20 +69,27 @@ class TestBatchCompletionTimes:
         inst, _, S = _random_batch(*geom)
         ct = batch_completion_times(inst, S)
         for i in range(S.shape[0]):
-            np.testing.assert_allclose(
-                ct[i], compute_completion_times(inst, S[i]), rtol=1e-12
-            )
+            np.testing.assert_array_equal(ct[i], compute_completion_times(inst, S[i]))
 
     def test_respects_ready_times(self, rng):
-        inst = make_instance(10, 3, consistency="i", seed=5)
-        ready = np.array([1.0, 2.0, 3.0])
-        from repro.etc.model import ETCMatrix
+        """Bit for bit with ready times: ready time first, then tasks in index order.
 
-        inst2 = ETCMatrix(inst.etc, ready_times=ready, name="ready")
-        S = rng.integers(0, 3, size=(4, 10)).astype(np.int32)
-        ct = batch_completion_times(inst2, S)
-        for i in range(4):
-            np.testing.assert_allclose(ct[i], compute_completion_times(inst2, S[i]))
+        On u_c_hihi.0 any other accumulation order (e.g. adding the ready
+        times after summing the tasks) is off by ~1e-8, so only the
+        scalar recompute's order passes ``array_equal``.
+        """
+        small = make_instance(10, 3, consistency="i", seed=5)
+        paper = load_benchmark("u_c_hihi.0")
+        cases = [
+            (ETCMatrix(small.etc, ready_times=np.array([1.0, 2.0, 3.0]), name="ready"), 4),
+            (ETCMatrix(paper.etc, ready_times=rng.random(16) * paper.etc.mean() * 10, name="ready"), 16),
+        ]
+        for inst, P in cases:
+            S = rng.integers(0, inst.nmachines, size=(P, inst.ntasks)).astype(np.int32)
+            ct = batch_completion_times(inst, S)
+            for i in range(P):
+                np.testing.assert_array_equal(ct[i], compute_completion_times(inst, S[i]))
+        assert INDEPENDENT.population_ct is batch_completion_times
 
     def test_rejects_bad_shape(self, tiny_instance):
         with pytest.raises(ValueError, match="must be"):
@@ -86,6 +97,8 @@ class TestBatchCompletionTimes:
 
 
 class TestBatchCtDelta:
+    """The CT delta, through the ETC recombine the engines run."""
+
     @settings(max_examples=25, deadline=None)
     @given(geometries)
     def test_matches_apply_delta(self, geom):
@@ -95,7 +108,8 @@ class TestBatchCtDelta:
         # random reassignment of a random subset of genes per row
         flip = rng.random(S.shape) < 0.4
         new_S[flip] = rng.integers(0, inst.nmachines, size=int(flip.sum()), dtype=np.int32)
-        batch_ct_delta(inst, ct, S, new_S)
+        child = INDEPENDENT.batch_recombine(inst, S, ct, new_S, flip)
+        np.testing.assert_array_equal(child, new_S)
         for i in range(S.shape[0]):
             sched = Schedule(inst, S[i])
             changed = np.flatnonzero(S[i] != new_S[i])
@@ -106,7 +120,9 @@ class TestBatchCtDelta:
         S = rng.integers(0, tiny_instance.nmachines, size=(3, tiny_instance.ntasks)).astype(np.int32)
         ct = batch_completion_times(tiny_instance, S)
         expected = ct.copy()
-        batch_ct_delta(tiny_instance, ct, S, S.copy())
+        mask = np.ones(S.shape, dtype=bool)
+        child = INDEPENDENT.batch_recombine(tiny_instance, S, ct, S.copy(), mask)
+        np.testing.assert_array_equal(child, S)
         np.testing.assert_array_equal(ct, expected)
 
 
@@ -132,8 +148,16 @@ class TestBatchFitness:
         assert set(BATCH_FITNESS) == set(FITNESS)
 
     def test_resolve_unknown(self):
-        with pytest.raises(KeyError, match="no batch fitness"):
-            resolve_batch_fitness("tardiness")
+        config = SimpleNamespace(
+            selection="best2",
+            fitness="tardiness",
+            mutation="move",
+            local_search=None,
+            crossover="tpx",
+            replacement="if-better",
+        )
+        with pytest.raises(ValueError, match="no batch kernel for 'tardiness'"):
+            resolve_batch_ops(config, problem=INDEPENDENT)
 
 
 class TestBatchSelection:
@@ -182,27 +206,27 @@ class TestCrossoverMask:
         S1 = rng.integers(0, tiny_instance.nmachines, size=(P, nt)).astype(np.int32)
         S2 = rng.integers(0, tiny_instance.nmachines, size=(P, nt)).astype(np.int32)
         ct = batch_completion_times(tiny_instance, S1)
-        mask = crossover_mask(name, P, nt, rng)
-        child = np.where(mask, S2, S1)
-        batch_ct_delta(tiny_instance, ct, S1, child)
+        mask = crossover_mask(BATCH_CROSSOVER_MASKS[name], P, nt, rng)
+        child = INDEPENDENT.batch_recombine(tiny_instance, S1, ct, S2, mask)
+        np.testing.assert_array_equal(child, np.where(mask, S2, S1))
         assert batch_resync_drift(tiny_instance, child, ct) < 1e-6
 
     def test_opx_mask_is_suffix(self, rng):
-        mask = crossover_mask("opx", 50, 20, rng)
+        mask = crossover_mask(BATCH_CROSSOVER_MASKS["opx"], 50, 20, rng)
         # each row: False prefix then True suffix, both non-empty
         for row in mask:
             changes = np.flatnonzero(np.diff(row.astype(int)))
             assert changes.size == 1 and not row[0] and row[-1]
 
     def test_tpx_mask_is_window(self, rng):
-        mask = crossover_mask("tpx", 50, 20, rng)
+        mask = crossover_mask(BATCH_CROSSOVER_MASKS["tpx"], 50, 20, rng)
         for row in mask:
             changes = np.flatnonzero(np.diff(row.astype(int)))
             assert changes.size <= 2  # single (possibly empty/edge) window
 
     def test_inactive_rows_untouched(self, rng):
         active = np.zeros(10, dtype=bool)
-        mask = crossover_mask("tpx", 10, 20, rng, active=active)
+        mask = crossover_mask(BATCH_CROSSOVER_MASKS["tpx"], 10, 20, rng, active=active)
         assert not mask.any()
 
 
@@ -424,8 +448,6 @@ class TestFlatKernelsMatch2DReference:
 
     def test_batch_h2ll_worst_machine_without_tasks(self):
         """Ready times make an empty machine the worst: found is all-False, no move."""
-        from repro.etc.model import ETCMatrix
-
         base = make_instance(20, 4, consistency="i", seed=2)
         inst = ETCMatrix(base.etc, ready_times=np.array([0.0, 0.0, 0.0, 1e12]), name="ready")
         S = np.random.default_rng(2).integers(0, 3, size=(6, 20)).astype(np.int32)
@@ -451,8 +473,6 @@ class TestFlatKernelsMatch2DReference:
 
     def test_batch_h2ll_integer_etc_ties(self):
         """Small integer ETC values tie loads, scores and makespans."""
-        from repro.etc.model import ETCMatrix
-
         for seed in range(5):
             gen = np.random.default_rng(seed)
             inst = ETCMatrix(gen.integers(1, 4, size=(30, 5)).astype(np.float64), name="ties")
@@ -469,13 +489,14 @@ class TestFlatKernelsMatch2DReference:
     @settings(max_examples=25, deadline=None)
     @given(geometries)
     def test_batch_ct_delta(self, geom):
+        """The CT delta, through the ETC recombine, equals the 2-D form."""
         inst, rng, S = _random_batch(*geom)
         ct = batch_completion_times(inst, S)
         new_S = S.copy()
         flip = rng.random(S.shape) < 0.4
         new_S[flip] = rng.integers(0, inst.nmachines, size=int(flip.sum()), dtype=np.int32)
         ref_ct = ct.copy()
-        batch_ct_delta(inst, ct, S, new_S)
+        INDEPENDENT.batch_recombine(inst, S, ct, new_S, flip)
         _ref_batch_ct_delta(inst, ref_ct, S, new_S)
         np.testing.assert_array_equal(ct, ref_ct)
 
@@ -483,14 +504,14 @@ class TestFlatKernelsMatch2DReference:
     @given(geometries, st.sampled_from(sorted(BATCH_CROSSOVER_MASKS)))
     def test_etc_recombine(self, geom, name):
         """The ETC recombine equals ``np.where`` + the 2-D delta."""
-        from repro.problems import resolve_problem
-
         inst, rng, S1 = _random_batch(*geom)
         S2 = rng.integers(0, inst.nmachines, size=S1.shape).astype(np.int32)
         ct = batch_completion_times(inst, S1)
-        mask = crossover_mask(name, S1.shape[0], inst.ntasks, rng, rng.random(S1.shape[0]) < 0.8)
+        mask = crossover_mask(
+            BATCH_CROSSOVER_MASKS[name], S1.shape[0], inst.ntasks, rng, rng.random(S1.shape[0]) < 0.8
+        )
         ref_ct = ct.copy()
-        child = resolve_problem("independent").batch_recombine(inst, S1, ct, S2, mask)
+        child = INDEPENDENT.batch_recombine(inst, S1, ct, S2, mask)
         ref_child = np.where(mask, S2, S1)
         _ref_batch_ct_delta(inst, ref_ct, S1, ref_child)
         np.testing.assert_array_equal(child, ref_child)
@@ -502,7 +523,7 @@ class TestFlatKernelsMatch2DReference:
     def test_masks(self, name, P, n):
         rng, ref_rng = _twin(P * 1000 + n)
         for active in (None, np.zeros(P, dtype=bool), np.arange(P) % 2 == 0):
-            mask = crossover_mask(name, P, n, rng, active)
+            mask = crossover_mask(BATCH_CROSSOVER_MASKS[name], P, n, rng, active)
             ref = _ref_mask(name, P, n, ref_rng)
             if active is not None:
                 ref &= active[:, None]
@@ -520,4 +541,6 @@ class TestFlatKernelsMatch2DReference:
         with pytest.raises(ValueError, match="ct must be C-contiguous"):
             batch_h2ll(strided_S.copy(), strided_ct, tiny_instance, rng, 1)
         with pytest.raises(ValueError, match="ct must be C-contiguous"):
-            batch_ct_delta(tiny_instance, strided_ct, strided_S, strided_S.copy())
+            INDEPENDENT.batch_recombine(
+                tiny_instance, strided_S.copy(), strided_ct, strided_S.copy(), strided_S > 0
+            )

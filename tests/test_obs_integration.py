@@ -348,6 +348,31 @@ class TestReporting:
         report = (out / "report.md").read_text()
         assert report == md
 
+    def test_markdown_has_one_timing_table_per_sampling_unit(self):
+        """Phase, sweep and lock samples count different things, so each
+        gets its own table and no table mixes two of them."""
+        hist = {"count": 4, "mean": 2.0, "p50": 2.0, "p99": 3.0, "sum": 8.0}
+        keys = ("phase.select_us", "phase.ls_us", "sweep_us", "lock.read_wait_us")
+        metrics = {"merged": {"histograms": {k: dict(hist) for k in keys}}}
+        md = render_markdown({}, metrics, [])
+        tables = {}
+        for block in md.split("\n## ")[1:]:
+            title, _, body = block.partition("\n")
+            tables[title.split(" (")[0]] = body
+        assert set(tables) >= {"Phase timings", "Sweep timings", "Lock waits"}
+        assert "one sample per block sweep" in md
+        assert "one sample per timed acquisition" in md
+        rows = {
+            "Phase timings": ("selection", "local search"),
+            "Sweep timings": ("block sweep",),
+            "Lock waits": ("read wait",),
+        }
+        for title, labels in rows.items():
+            body = tables[title]
+            for other_title, other_labels in rows.items():
+                for label in other_labels:
+                    assert (label in body) == (other_title == title), (title, label)
+
     def test_summary_without_out_dir(self, tiny_instance):
         obs = Observer(out=None, sample_every_evals=36)
         AsyncCGA(tiny_instance, CFG, rng=0, obs=obs).run(

@@ -20,28 +20,43 @@ _INSTANCE_SPECS = {
     "flowshop": "fs12x4.2",
 }
 
+#: extra suite runs on a variant instance: case id -> problem name.
+#: ``independent-ready`` gives every machine a nonzero ready time, so
+#: each CT path must start a machine from it exactly as ``evaluate`` does.
+_VARIANT_CASES = {"independent-ready": "independent"}
 
-def _instance_for(problem):
+
+def _instance_for(problem, ready=False):
     if problem.name == "independent":
         from repro.etc import make_instance
+        from repro.etc.model import ETCMatrix
 
-        return make_instance(32, 8, "i", seed=2)
+        inst = make_instance(32, 8, "i", seed=2)
+        if ready:
+            ready_times = np.random.default_rng(3).random(8) * inst.etc.mean() * 4
+            inst = ETCMatrix(inst.etc, ready_times=ready_times, name="g32x8+ready")
+        return inst
     return problem.load_instance(_INSTANCE_SPECS[problem.name])
 
 
-@pytest.fixture(params=problem_names())
-def problem(request):
-    prob = resolve_problem(request.param)
-    assert request.param in _INSTANCE_SPECS, (
-        f"problem {request.param!r} has no contract-suite instance; "
-        "add one to _INSTANCE_SPECS"
-    )
-    return prob
+@pytest.fixture(params=[*problem_names(), *_VARIANT_CASES])
+def case(request):
+    return request.param
 
 
 @pytest.fixture
-def instance(problem):
-    return _instance_for(problem)
+def problem(case):
+    name = _VARIANT_CASES.get(case, case)
+    assert name in _INSTANCE_SPECS, (
+        f"problem {name!r} has no contract-suite instance; "
+        "add one to _INSTANCE_SPECS"
+    )
+    return resolve_problem(name)
+
+
+@pytest.fixture
+def instance(case, problem):
+    return _instance_for(problem, ready=case in _VARIANT_CASES)
 
 
 class TestRegistry:

@@ -72,7 +72,6 @@ class TestInvariants:
         drift = batch_resync_drift(small_instance, eng.pop.s, eng.pop.ct)
         scale = float(np.abs(eng.pop.ct).max())
         assert drift <= 1e-9 * max(scale, 1.0)
-        assert eng.resync_drift() == pytest.approx(drift)
 
     def test_monotone_best_under_elitist_replacement(self, small_instance):
         """'if-better' replacement can never lose the incumbent best."""
