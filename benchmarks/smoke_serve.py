@@ -6,11 +6,13 @@ Three phases against a real ``repro serve`` subprocess:
 1. **Throughput + backpressure** — fire a burst of small solve jobs at
    the HTTP API and require sustained admission of at least 20
    requests/s; 429 responses must carry ``Retry-After`` and every
-   *accepted* job must reach ``done``.
-2. **Crash recovery** — submit jobs that ask the (env-gated) fault
-   injector to kill their worker mid-run; each must be retried from
-   its checkpoint, finish ``done`` with ``resumed: true`` and link a
-   postmortem record next to the job file.
+   *accepted* job must reach ``done``.  Then one ``threads`` and one
+   ``shm`` job (2 workers each, the partitioned path) must finish
+   ``done`` with progress reported.
+2. **Crash recovery** — submit jobs (``sync``, and one ``threads``) that
+   ask the (env-gated) fault injector to kill their worker mid-run; each
+   must be retried from its checkpoint, finish ``done`` with
+   ``resumed: true`` and link a postmortem record next to the job file.
 3. **Drain/restart** — SIGTERM the server with work in flight; the
    process must exit 0, the in-flight job must be ``parked`` with a
    checkpoint on disk, and a restarted server on the same spool must
@@ -48,6 +50,15 @@ FAST_JOB = {
     "config": {"grid_rows": 4, "grid_cols": 4},
     "budget": {"max_generations": 5},
 }
+#: the partitioned engines, served in their checkpointable lockstep mode
+PARTITIONED_JOBS = [
+    dict(
+        FAST_JOB,
+        engine=engine,
+        config={"grid_rows": 4, "grid_cols": 4, "n_threads": 2},
+    )
+    for engine in ("threads", "shm")
+]
 LONG_JOB = {
     "problem": "flowshop",
     "instance": "fs10x5.1",
@@ -152,15 +163,28 @@ def main() -> int:
         check(not lost, f"phase 1 lost jobs: {lost}")
         print(f"phase 1: all {len(accepted)} accepted jobs done")
 
+        partitioned = []
+        for job in PARTITIONED_JOBS:
+            code, _, body = request(base, "POST", "/jobs", dict(job, seed=7))
+            check(code == 202, f"{job['engine']} job rejected with {code}")
+            partitioned.append(body["id"])
+        accepted.extend(partitioned)
+        records = wait_states(base, partitioned, timeout_s=120)
+        for job, jid in zip(PARTITIONED_JOBS, partitioned):
+            rec, engine = records[jid], job["engine"]
+            check(rec.get("state") == "done", f"{engine} job: {rec.get('state')}")
+            check(rec.get("progress") is not None, f"{engine} job reported no progress")
+        print("phase 1: threads and shm jobs done with progress")
+
         # -- phase 2: injected worker crash -> retry from checkpoint -------
         crash_ids = []
-        for i in range(3):
+        for i, job in enumerate([FAST_JOB] * 3 + PARTITIONED_JOBS[:1]):
             code, _, body = request(
                 base,
                 "POST",
                 "/jobs",
                 dict(
-                    FAST_JOB,
+                    job,
                     seed=100 + i,
                     budget={"max_generations": 8},
                     inject={"crash_after_generations": 3, "crash_attempts": 1},

@@ -3,8 +3,13 @@
 Every engine that takes hooks takes them as ``hooks=EngineHooks(...)``,
 a small, mutable protocol object with four slots:
 
-* ``on_generation(engine, generation, evaluations)`` — after every
-  completed generation (never for the initial snapshot);
+* ``on_generation(engine, generation, evaluations)`` — once per
+  completed generation, numbered ``1..result.generations`` (never for
+  the initial snapshot).  An engine with several workers (threads, shm,
+  sim) completes a generation when its slowest worker completes another
+  block sweep; threads and shm fire it from the run's calling thread —
+  after each lockstep round, before its checkpoint, or from the
+  free-running parent's supervision loop;
 * ``on_improvement(engine, generation, evaluations, best)`` — whenever
   the population best strictly improves between snapshots;
 * ``on_stop(engine, result)`` — once, with the final

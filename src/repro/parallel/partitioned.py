@@ -6,27 +6,70 @@ paper's Algorithm 2) on two substrates: the grid is split into
 ``n_threads`` blocks, each driven by its own RNG stream and evaluation
 share.  :class:`PartitionedEngine` owns everything that does not depend
 on the substrate — the checkpoint protocol, the per-worker counters and
-their resume, the result, and the deterministic ``lockstep`` run loop.
-A subclass supplies its constructor, one block sweep
-(``_step_block(tid, rng, rec)``) and its free-running loop
-(``_run_free(stop)``).
+their resume, the result, the per-sweep bookkeeping, the generation
+hook, the deterministic ``lockstep`` loop and the free-running one: a
+worker loop (sweep, then check the budget share) and the parent's
+supervision loop (sampling, generation hook, telemetry merge,
+stall-kill, loud failure).  A subclass supplies one block sweep
+(``_step_block(tid, rng, rec)``) and how one free-running worker starts
+(``_start_worker``): an OS thread, or a forked process — an engine whose
+workers are processes sets ``_mpctx`` to a fork context, so the
+per-worker counters live in fork-shared arrays.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import signal
+import time
+from typing import NamedTuple, Sequence
+
 from repro.cga.config import StopCondition
 from repro.cga.engine import RunResult
 from repro.cga.hooks import as_hooks
+from repro.obs.watchdog import HeartbeatBoard, Watchdog
 from repro.runtime.budget import Budget
 from repro.runtime.context import attach_runtime, detach_runtime, finish_run
 
-__all__ = ["PartitionedEngine"]
+__all__ = ["PartitionedEngine", "fire_generations"]
+
+
+def fire_generations(engine, fired: int, generation: int, evaluations: int) -> int:
+    """Fire ``engine.hooks.on_generation`` for every generation in
+    ``(fired, generation]``; returns the new mark.  ``generation`` is the
+    slowest worker's sweep count, as in the result's ``generations``."""
+    hook = engine.hooks.on_generation
+    if hook is not None:
+        for g in range(fired + 1, generation + 1):
+            hook(engine, g, evaluations)
+    return max(fired, generation)
+
+
+class _Progress(NamedTuple):
+    """Per-worker run state: workers write it, the parent reads it.
+    ``board`` holds the heartbeats and budget-exhausted flags the
+    watchdogs read; the parent sets ``halt[0]`` to stop every worker
+    after its sweep; forked workers put ``(tid, metrics snapshot, trace
+    events)`` on ``telemetry``."""
+
+    evals: Sequence[int]
+    gens: Sequence[int]
+    board: HeartbeatBoard
+    halt: Sequence[int]
+    telemetry: object | None
 
 
 class PartitionedEngine:
-    """Checkpoint protocol, counters, result and lockstep loop of the
+    """Checkpoint protocol, counters, result and both run loops of the
     block-partitioned engines; ``ctx`` is the engine's
     :class:`~repro.runtime.context.RunContext` (``workers=n_threads``)."""
+
+    #: fork context of an engine whose free-running workers are processes
+    _mpctx = None
+    #: free-running: terminate the workers and raise when a heartbeat
+    #: stalls this long (processes only — a thread cannot be killed)
+    stall_kill_s: float | None = None
 
     def __init__(self, instance, ctx, hooks=None, lockstep: bool = False):
         self.instance = instance
@@ -138,6 +181,66 @@ class PartitionedEngine:
             meta={"n_threads": self.config.n_threads},
         )
 
+    # ------------------------------------------------------------------
+    # per-worker pieces shared by both loops
+    # ------------------------------------------------------------------
+    def _progress(self, shared: bool) -> _Progress:
+        """This run's per-worker state.  Forked workers (``shared`` and
+        ``_mpctx``) get fork-shared arrays seeded from the resumed
+        counters; otherwise the counters are the engine's own lists, so a
+        lockstep checkpoint reads them live."""
+        n = self.config.n_threads
+        mp = self._mpctx if shared else None
+        new = mp.RawArray if mp is not None else lambda typecode, init: init
+        return _Progress(
+            new("l", self._eval_counts), new("l", self._gen_counts),
+            HeartbeatBoard(n, counters=new("l", [0] * n), done=new("b", [0] * n)),
+            new("b", [0]),
+            mp.SimpleQueue() if mp is not None and self.obs is not None else None,
+        )
+
+    def _worker_name(self, tid: int) -> str:
+        """Name of worker ``tid``: its thread/process and its trace lane."""
+        return f"pacga-{self.engine_name}-w{tid}"
+
+    def _sinks(self, tid: int) -> tuple:
+        """In-process worker ``tid``'s metric recorder and trace lane."""
+        obs = self.obs
+        if obs is None:
+            return None, None
+        return obs.recorder(tid), obs.thread_tracer(tid, self._worker_name(tid))
+
+    def _sweep(self, gid: int, members, rng, progress: _Progress, rec, tracer):
+        """One sweep of unit ``gid``, then its bookkeeping: the counters
+        and heartbeats of its ``members`` (block ids) and, when observed,
+        ``sweep_us`` and a ``sweep`` span.  Returns ``_step_block``'s value."""
+        start = time.perf_counter()
+        out = self._step_block(gid, rng, rec)
+        evals, gens, board = progress.evals, progress.gens, progress.board
+        for t in members:
+            evals[t] += self.blocks[t].size
+            gens[t] += 1
+            board.beat(t)
+        if rec is not None:
+            dur = time.perf_counter() - start
+            rec.observe("sweep_us", dur * 1e6)
+            if tracer is not None:
+                args = {"generation": gens[members[0]]}
+                tracer.complete("sweep", start - tracer.epoch, dur, args)
+        return out
+
+    def _sample(self, progress: _Progress) -> None:
+        """Tick the time-series sampler from the run loop's thread."""
+        obs = self.obs
+        total = sum(progress.evals)
+        if obs.sampler.due(total, obs.elapsed()):
+            obs.maybe_sample(
+                total, lambda: obs.engine_row(self, min(progress.gens), total)
+            )
+
+    # ------------------------------------------------------------------
+    # lockstep
+    # ------------------------------------------------------------------
     def _run_lockstep(self, stop: StopCondition) -> RunResult:
         """Deterministic serialized mode: round-robin block sweeps.
 
@@ -145,17 +248,22 @@ class PartitionedEngine:
         the calling thread, so the interleaving (and therefore the run)
         is a pure function of the seed.  Budget semantics match the
         free-running mode: per-worker evaluation shares, checked at
-        sweep boundaries.
+        sweep boundaries.  After each round the generation hook fires,
+        then the checkpoint callback.
         """
         n = self.config.n_threads
         budget = Budget(stop)
         share = budget.eval_share(n)
-        evals, gens = self._eval_counts, self._gen_counts
-        board = attach_runtime(self, n, lambda: (min(gens), sum(evals)))
+        progress = self._progress(shared=False)
+        evals, gens = progress.evals, progress.gens
+        board = attach_runtime(
+            self, n, lambda: (min(gens), sum(evals)), board=progress.board
+        )
         obs = self.obs
-        # per-block recorders: lockstep runs in one process, so the
-        # workers' metrics land directly in the parent registry
-        recs = [obs.recorder(str(tid)) for tid in range(n)] if obs is not None else None
+        # lockstep runs in one thread, so every worker's metrics land
+        # directly in the parent registry
+        sinks = [self._sinks(tid) for tid in range(n)]
+        fired = min(gens)
         budget.start()
         rounds = 0
         try:
@@ -166,23 +274,15 @@ class PartitionedEngine:
                         continue
                     if budget.worker_exhausted(evals[tid], gens[tid], share):
                         active[tid] = False
-                        if board is not None:
-                            board.mark_done(tid)
+                        progress.board.mark_done(tid)
                         continue
-                    rec = recs[tid] if recs is not None else None
-                    self._step_block(tid, self._worker_rngs[tid], rec)
-                    evals[tid] += self.blocks[tid].size
-                    gens[tid] += 1
-                    if board is not None:
-                        board.beat(tid)
+                    rng = self._worker_rngs[tid]
+                    self._sweep(tid, (tid,), rng, progress, *sinks[tid])
                 rounds += 1
                 if obs is not None:
                     obs.flight_event("sweep", "round", float(rounds))
-                    total = sum(evals)
-                    if self.sampler_due(total):
-                        obs.maybe_sample(
-                            total, lambda: obs.engine_row(self, min(gens), total)
-                        )
+                    self._sample(progress)
+                fired = fire_generations(self, fired, min(gens), sum(evals))
                 if self._ckpt is not None and rounds % self._ckpt[0] == 0 and any(active):
                     self._ckpt[1](self)
                     if obs is not None:
@@ -191,8 +291,171 @@ class PartitionedEngine:
             detach_runtime(self, board)
         return self._result(budget)
 
-    def sampler_due(self, evaluations: int) -> bool:
-        """Cheap parent-side cadence check (avoids provider invocation)."""
-        return self.obs is not None and self.obs.sampler.due(
-            evaluations, self.obs.elapsed()
+    # ------------------------------------------------------------------
+    # free-running
+    # ------------------------------------------------------------------
+    def _worker_groups(self) -> list[list[int]]:
+        """The free-running workers as groups of block ids; a group is
+        one worker breeding one sweep unit (default: a block each)."""
+        return [[t] for t in range(self.config.n_threads)]
+
+    def _worker_loop(
+        self, gid: int, members, budget: Budget, share, progress: _Progress,
+        rec, tracer, after_sweep=None,
+    ) -> int:
+        """One free-running worker: sweep unit ``gid`` until every member
+        block's budget share is spent or the parent halts the run, calling
+        ``after_sweep(out, generation)`` after each sweep.  Returns the
+        final sweep count."""
+        rng = self._worker_rngs[members[0]]
+        evals, gens = progress.evals, progress.gens
+        while not progress.halt[0] and not all(
+            budget.worker_exhausted(evals[t], gens[t], share) for t in members
+        ):
+            out = self._sweep(gid, members, rng, progress, rec, tracer)
+            if after_sweep is not None:
+                after_sweep(out, gens[members[0]])
+        for t in members:
+            progress.board.mark_done(t)  # budget exhausted != stalled
+        if progress.telemetry is not None:
+            events = tracer.events if tracer is not None else []
+            progress.telemetry.put((members[0], rec.snapshot(), events))
+        return gens[members[0]]
+
+    def _run_free(self, stop: StopCondition) -> RunResult:
+        """Free-running workers (the paper's concurrent execution)."""
+        n = self.config.n_threads
+        budget = Budget(stop)
+        share = budget.eval_share(n)
+        groups = self._worker_groups()
+        progress = self._progress(shared=True)
+        evals, gens = progress.evals, progress.gens
+        board = attach_runtime(
+            self, n, lambda: (min(gens), sum(evals)), board=progress.board
         )
+        killer = None
+        if self.stall_kill_s is not None:
+            killer = Watchdog(progress.board, deadline_s=self.stall_kill_s)
+        workers = []
+        # read before any worker starts: a fast one may finish sweeps
+        # before the parent reaches its supervision loop
+        fired = min(gens)
+        budget.start()
+        try:
+            for gid, members in enumerate(groups):
+                loop = functools.partial(
+                    self._worker_loop, gid, members, budget, share, progress
+                )
+                workers.append(self._start_worker(gid, members, loop))
+            self._supervise(workers, groups, progress, killer, fired)
+        except BaseException:
+            progress.halt[0] = 1
+            for w in workers:
+                if w.is_alive():
+                    w.terminate()  # a no-op for threads: they halt instead
+            for w in workers:
+                w.join()
+            raise
+        finally:
+            # final live.json publish happens after the workers'
+            # recorders have quiesced, so live counts == bundle counts
+            detach_runtime(self, board)
+        self._eval_counts = [int(e) for e in evals]
+        self._gen_counts = [int(g) for g in gens]
+        return self._result(budget)
+
+    def _supervise(
+        self, workers, groups, progress: _Progress, killer, fired: int
+    ) -> None:
+        """The parent's loop until every worker has exited: merge forked
+        workers' telemetry (while they run — a finishing worker blocks in
+        ``put`` once its payload outgrows the pipe), sample, fire the
+        generation hook for every generation past ``fired``, and fail on
+        a dead or (stall-kill) stalled worker; the caller then stops the
+        rest."""
+        obs = self.obs
+        while True:
+            alive = [w for w in workers if w.is_alive()]
+            if progress.telemetry is not None:
+                self._adopt_telemetry(progress.telemetry)
+            if obs is not None:
+                try:
+                    self._sample(progress)
+                except Exception as exc:
+                    # the population is read while workers mutate it —
+                    # a torn read must not kill an otherwise healthy run
+                    obs.flight_event("sample.error", repr(exc)[:36])
+            fired = fire_generations(
+                self, fired, min(progress.gens), sum(progress.evals)
+            )
+            failed = next(
+                (g for g, w in enumerate(workers) if w.exitcode not in (None, 0)), None
+            )
+            if failed is None and not alive:
+                return
+            stalled = None
+            if failed is None and killer is not None:
+                stalled = next((ev for ev in killer.poll() if not ev.recovered), None)
+            if failed is not None or stalled is not None:
+                self._fail(workers, groups, failed, stalled)
+            alive[0].join(0.02)
+
+    def _adopt_telemetry(self, queue) -> None:
+        """Merge the metric snapshots and trace events forked workers
+        shipped at exit into the parent's observer."""
+        from repro.obs.metrics import MetricRecorder
+
+        obs = self.obs
+        while not queue.empty():
+            tid, snapshot, events = queue.get()
+            obs.registry.adopt(MetricRecorder.from_snapshot(snapshot))
+            if obs.tracer is not None:
+                obs.tracer.adopt(tid, events, self._worker_name(tid))
+
+    def _fail(self, workers, groups, failed, stalled) -> None:
+        """Stamp the failed (exited nonzero) or ``stalled`` worker into
+        ``obs.meta["interrupted_by"]`` and raise ``RuntimeError``."""
+        if failed is None:
+            failed = next(g for g, m in enumerate(groups) if stalled.worker in m)
+        w, lead = workers[failed], groups[failed][0]
+        error = getattr(w, "error", None)
+        if stalled is None:
+            by = {"role": f"w{lead}", "pid": w.pid, "exitcode": w.exitcode}
+            detail = f": {error!r}" if error is not None else ""
+            message = f"{self.engine_name} workers failed: {[w.name]}{detail}"
+        else:
+            self._capture_stalled_stacks(w, f"w{lead}", stalled)
+            by = {"role": f"w{stalled.worker}", "pid": w.pid, "reason": "stall",
+                  "stalled_s": round(stalled.stalled_s, 3)}
+            message = (
+                f"{self.engine_name} worker {stalled.worker} stalled for "
+                f"{stalled.stalled_s:.1f}s (heartbeat {stalled.heartbeat}); "
+                "worker group terminated"
+            )
+        if self.obs is not None:
+            self.obs.meta.setdefault("interrupted_by", by)
+        raise RuntimeError(message) from error
+
+    def _capture_stalled_stacks(self, victim, role, stalled, wait_s: float = 1.5) -> None:
+        """Stall escalation: SIGUSR1 the stalled worker process (flight
+        role ``role``) and wait, bounded, for its handler's stack dump in
+        ``flight/stacks-<role>.txt``, so the evidence lands in the bundle
+        before the group is terminated.  No-op without flight recording
+        or when the worker is already gone."""
+        obs = self.obs
+        if obs is None or not obs.flight_enabled or not victim.is_alive():
+            return
+        from repro.obs.flight import flight_paths
+
+        stacks_path = flight_paths(obs.out, role)["stacks"]
+        before = stacks_path.stat().st_size if stacks_path.exists() else 0
+        try:
+            os.kill(victim.pid, signal.SIGUSR1)
+        except (ProcessLookupError, OSError):  # pragma: no cover - racing exit
+            return
+        deadline = time.perf_counter() + wait_s
+        while time.perf_counter() < deadline:
+            if stacks_path.exists() and stacks_path.stat().st_size > before:
+                break
+            time.sleep(0.02)
+        obs.flight_event("stall", f"w{stalled.worker}", stalled.stalled_s)

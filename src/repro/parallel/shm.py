@@ -53,13 +53,11 @@ the block sweeps round-robin in the calling process — identical
 genetics, streams and budget split, pinned interleaving — which is the
 mode the universal checkpoint layer snapshots and resumes bit-exactly.
 
-Run loops: the checkpoint protocol, counter resume, result and the
-``lockstep`` loop are the shared partitioned skeleton
-:class:`~repro.parallel.partitioned.PartitionedEngine` (shared with the
-threads engine); this module supplies the sweep of one unit
-``_step_block`` (which also records
-``boundary_evals``/``boundary_publishes``) and the forked free-running
-loop ``_run_free``.
+Run loops: both live in the partitioned skeleton shared with threads,
+:class:`~repro.parallel.partitioned.PartitionedEngine`; this module
+supplies the sweep of one unit (``_step_block``, which also records
+``boundary_evals``/``boundary_publishes``), the worker grouping and the
+fork.
 
 Sweep units
 -----------
@@ -73,26 +71,20 @@ one unit per group of blocks.
 
 Worker collapse on oversubscribed hosts
 ---------------------------------------
-Forking more workers than the machine has cores cannot add
-parallelism — it only shrinks each worker's batch from ``pop/N`` rows
-toward zero while every sweep still pays the same fixed Python/numpy
-kernel-dispatch cost (the ``shm(4) < shm(1)`` throughput anomaly on
-single-core boxes).  Free-running mode therefore forks only
-``min(n_threads, cpu_count)`` processes and hands each one a
-contiguous *group* of blocks that it breeds as a single sweep unit:
-block ownership, budget shares and per-worker counters keep the
-configured ``n_threads`` granularity, but the kernel batch stays at
-``pop/n_procs`` rows, so the per-sweep fixed cost is paid once per
-process instead of once per logical worker.  On a machine with enough
-cores every group is one block, so the units are the per-block ones.
-Pass ``oversubscribe=True`` (or set ``REPRO_SHM_OVERSUBSCRIBE=1``) to force
-the full one-process-per-block fan-out — the observability smokes use
-this to exercise real multi-process crash/stall attribution anywhere.
+Forking more workers than cores cannot add parallelism — it only
+shrinks each batch while every sweep still pays the same fixed
+Python/numpy dispatch cost (the ``shm(4) < shm(1)`` anomaly on
+single-core boxes).  Free-running mode therefore forks
+``min(n_threads, cpu_count)`` processes, each breeding a contiguous
+*group* of blocks as one sweep unit; block ownership, budget shares
+and per-worker counters keep the ``n_threads`` granularity.
+``oversubscribe=True`` (or ``REPRO_SHM_OVERSUBSCRIBE=1``) forces one
+process per block — the observability smokes use it to exercise real
+multi-process crash/stall attribution anywhere.
 
-``stall_kill_s`` arms a parent-side watchdog over the fork-shared
-heartbeat counters (free-running mode): a worker whose heartbeat does
-not advance for that long gets the whole worker group terminated and
-the run fails loudly instead of hanging — segments are still unlinked.
+``stall_kill_s`` (free-running mode): a worker whose heartbeat does not
+advance for that long gets the whole worker group terminated and the
+run fails loudly instead of hanging — segments are still unlinked.
 """
 
 from __future__ import annotations
@@ -102,8 +94,8 @@ import multiprocessing
 import os
 import time
 import weakref
+from contextlib import nullcontext
 from multiprocessing import shared_memory
-from multiprocessing.connection import wait as wait_for_sentinels
 from typing import NamedTuple
 
 import numpy as np
@@ -114,7 +106,7 @@ from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
 from repro.parallel.partitioned import PartitionedEngine
 from repro.runtime.budget import Budget
-from repro.runtime.context import attach_runtime, build_context, partition_ownership
+from repro.runtime.context import build_context, partition_ownership
 
 __all__ = ["ShmBlockPACGA"]
 
@@ -220,7 +212,8 @@ class ShmBlockPACGA(PartitionedEngine):
         metrics shipped back over a queue at exit, heartbeats live on a
         fork-shared RawArray the parent's watchdog/publisher read.
     hooks:
-        Optional :class:`~repro.cga.hooks.EngineHooks`.
+        Optional :class:`~repro.cga.hooks.EngineHooks`; ``on_generation``
+        fires in the calling process.
     lockstep:
         Serialize the block sweeps round-robin in the calling process
         (deterministic, checkpointable) instead of forking free-running
@@ -281,7 +274,7 @@ class ShmBlockPACGA(PartitionedEngine):
         self._batch = resolve_batch_ops(self.config, problem=self.pop.problem)
         self._seq = arrays["seq"]
         #: one sweep unit per block; collapsed free-running workers
-        #: breed the group units :meth:`_run_free` builds instead
+        #: breed the group units :meth:`_worker_groups` builds instead
         self._units = self._sweep_units([[t] for t in range(cfg.n_threads)])
         self._boundary_cells = int(self._units[0].shared.sum())
         self._n_procs = 0
@@ -302,42 +295,27 @@ class ShmBlockPACGA(PartitionedEngine):
             units.append(_SweepUnit(gid, unit_cells, nb, owner, shared, boundary))
         return units
 
-    def _seq_gather(self, ids: np.ndarray, arrays=None) -> tuple[np.ndarray, ...]:
-        """Consistent copies of foreign rows of ``arrays`` (default
-        ``(s, ct)``) via the seqlock protocol."""
-        seq = self._seq
+    def _gather_rows(
+        self, unit: _SweepUnit, ids: np.ndarray, arrays=None
+    ) -> tuple[np.ndarray, ...]:
+        """Copy rows of ``arrays`` (default ``(s, ct)``).  Rows another
+        unit owns follow the seqlock protocol: they are copied again
+        until their stamp reads even and unchanged across the copy."""
         if arrays is None:
             arrays = (self.pop.s, self.pop.ct)
-        outs = tuple(np.empty((ids.size, a.shape[1]), dtype=a.dtype) for a in arrays)
-        pending = np.arange(ids.size)
+        outs = tuple(a[ids] for a in arrays)  # fancy indexing copies
+        seq = self._seq
+        pending = np.flatnonzero(unit.owner[ids] != unit.gid)
         spins = 0
         while pending.size:
             pids = ids[pending]
             before = seq[pids].copy()
             for out, a in zip(outs, arrays):
                 out[pending] = a[pids]
-            after = seq[pids]
-            ok = (before == after) & (before % 2 == 0)
-            if ok.all():
-                break
-            pending = pending[~ok]
+            pending = pending[(before != seq[pids]) | (before % 2 == 1)]
             spins += 1
             if spins > 4:  # pragma: no cover - timing-dependent
                 time.sleep(0)  # yield so the writer can finish the row
-        return outs
-
-    def _gather_rows(
-        self, unit: _SweepUnit, ids: np.ndarray, arrays=None
-    ) -> tuple[np.ndarray, ...]:
-        """Copy rows of ``arrays`` (default ``(s, ct)``); rows another
-        unit owns go through :meth:`_seq_gather`."""
-        if arrays is None:
-            arrays = (self.pop.s, self.pop.ct)
-        outs = tuple(a[ids] for a in arrays)  # fancy indexing copies
-        foreign = np.flatnonzero(unit.owner[ids] != unit.gid)
-        if foreign.size:
-            for out, rows in zip(outs, self._seq_gather(ids[foreign], arrays)):
-                out[foreign] = rows
         return outs
 
     def _publish(
@@ -349,27 +327,18 @@ class ShmBlockPACGA(PartitionedEngine):
         shared_read: np.ndarray,
     ) -> int:
         """Write accepted children back; rows set in ``shared_read``
-        (read by another unit) are seqlock-stamped.
+        (read by another unit) are seqlock-stamped around the write.
 
         Returns the number of seqlock-stamped (boundary) publications.
         """
         pop, seq = self.pop, self._seq
-        shared = shared_read[rows]
-        sh = np.flatnonzero(shared)
-        if sh.size:
-            srows = rows[sh]
-            seq[srows] += 1  # odd: readers retry these rows
-            pop.s[srows] = s_rows[sh]
-            pop.ct[srows] = ct_rows[sh]
-            pop.fitness[srows] = fit_rows[sh]
-            seq[srows] += 1  # even: rows consistent again
-        pr = np.flatnonzero(~shared)
-        if pr.size:
-            prows = rows[pr]
-            pop.s[prows] = s_rows[pr]
-            pop.ct[prows] = ct_rows[pr]
-            pop.fitness[prows] = fit_rows[pr]
-        return int(sh.size)
+        stamped = rows[shared_read[rows]]
+        seq[stamped] += 1  # odd: readers retry these rows
+        pop.s[rows] = s_rows
+        pop.ct[rows] = ct_rows
+        pop.fitness[rows] = fit_rows
+        seq[stamped] += 1  # even: rows consistent again
+        return int(stamped.size)
 
     def _step_block(self, tid: int, rng: np.random.Generator, rec=None) -> int:
         """Breed sweep unit ``tid`` once with
@@ -378,7 +347,7 @@ class ShmBlockPACGA(PartitionedEngine):
         publications.
 
         ``tid`` indexes ``self._units``: a block id, or a group id in a
-        collapsed worker (:meth:`_run_free`).  ``rec`` is the worker's
+        collapsed worker (:meth:`_worker_groups`).  ``rec`` is the worker's
         private metric recorder; besides the breeding telemetry it
         receives the sweep's ``boundary_evals`` and
         ``boundary_publishes``.  The second parent's genome is gathered
@@ -422,18 +391,14 @@ class ShmBlockPACGA(PartitionedEngine):
         return super()._result(budget, **extra)
 
     # ------------------------------------------------------------------
-    def _run_free(self, stop: StopCondition) -> RunResult:
-        """Free-running forked workers (the paper's concurrent execution).
-
-        Always forks — even at ``n_threads=1`` — so measured rates are
-        comparable across worker counts (the speedup benchmark divides
-        them) and the lifecycle is exercised identically.  Workers
-        beyond the core count are collapsed into fused-batch processes
-        (module docstring) unless ``oversubscribe`` is set.
-        """
+    # the free-running fan-out (the loops are PartitionedEngine's)
+    # ------------------------------------------------------------------
+    def _worker_groups(self) -> list[list[int]]:
+        """One contiguous group of blocks per forked process (module
+        docstring), with the group sweep units the children breed.  Always
+        forks, even at ``n_threads=1``, so rates are comparable across
+        worker counts and the lifecycle is the same."""
         n = self.config.n_threads
-        budget = Budget(stop)
-        share = budget.eval_share(n)
         oversub = self.oversubscribe or (
             os.environ.get("REPRO_SHM_OVERSUBSCRIBE") == "1"
         )
@@ -441,249 +406,50 @@ class ShmBlockPACGA(PartitionedEngine):
         groups = [
             [int(t) for t in g] for g in np.array_split(np.arange(n), n_procs)
         ]
-        units = self._units if n_procs == n else self._sweep_units(groups)
+        self._group_units = self._units if n_procs == n else self._sweep_units(groups)
         self._n_procs = n_procs
-        gid_of_tid = {t: gid for gid, g in enumerate(groups) for t in g}
-        mp = self._mpctx
-        eval_counts = mp.RawArray("l", n)
-        gen_counts = mp.RawArray("l", n)
-        beats = mp.RawArray("l", n)
-        done = mp.RawArray("b", n)
-        for tid in range(n):
-            eval_counts[tid] = self._eval_counts[tid]
-            gen_counts[tid] = self._gen_counts[tid]
+        return groups
+
+    def _start_worker(self, gid: int, members, loop):
+        """Fork worker ``gid``: it breeds its group's sweep unit under its
+        own flight scope, into a private recorder and trace lane shipped
+        to the parent at exit.  Fault injection for the post-mortem
+        smoke: the worker hosting block ``REPRO_SHM_CRASH_WORKER`` raises
+        after ``REPRO_SHM_CRASH_AFTER`` sweeps."""
         obs = self.obs
-        telemetry_q = mp.SimpleQueue() if obs is not None else None
-        board = attach_runtime(
-            self,
-            n,
-            lambda: (None, int(sum(eval_counts))),
-            counters=beats,
-            done=done,
-        )
-        watchdog = None
-        if self.stall_kill_s is not None:
-            from repro.obs.watchdog import HeartbeatBoard, Watchdog
-
-            watchdog = Watchdog(
-                HeartbeatBoard(n, counters=beats, done=done),
-                deadline_s=self.stall_kill_s,
-            )
-        budget.start()
-        t0 = time.perf_counter()
-
-        # fault injection for the post-mortem e2e/CI smoke: worker
-        # REPRO_SHM_CRASH_WORKER raises after REPRO_SHM_CRASH_AFTER sweeps
-        crash_tid = int(os.environ.get("REPRO_SHM_CRASH_WORKER", "-1"))
+        lead = members[0]
+        crash = int(os.environ.get("REPRO_SHM_CRASH_WORKER", "-1"))
         crash_after = int(os.environ.get("REPRO_SHM_CRASH_AFTER", "3"))
+        start_gens = self._gen_counts[lead]
 
-        def body(gid: int, scope) -> None:
-            # this forked process breeds units[gid]; the parent keeps
-            # its one-unit-per-block table
-            self._units = units
-            members = groups[gid]
-            lead = members[0]
-            rng = self._worker_rngs[lead]
+        def body() -> None:
+            self._units = self._group_units  # the parent keeps its own
             rec = tracer = None
             if obs is not None:
                 from repro.obs.metrics import MetricRecorder
                 from repro.obs.trace import ThreadTracer
 
                 rec = MetricRecorder(str(lead))
-                tracer = ThreadTracer(lead, t0) if obs.tracer is not None else None
-            sizes = [self.blocks[t].size for t in members]
-            # members are a contiguous tid range (np.array_split), so
-            # the shared progress arrays update with slice stores — one
-            # ctypes call per array per sweep, not one per member
-            lo, hi = lead, members[-1] + 1
-            evals_m = [int(eval_counts[t]) for t in members]
-            gens_m = [int(gen_counts[t]) for t in members]
-            beats_m = [int(beats[t]) for t in members]
-            start_gens = gens_m[0]
-            crash_here = crash_tid in members
-            perf = time.perf_counter
-            while not all(
-                budget.worker_exhausted(e, g, share)
-                for e, g in zip(evals_m, gens_m)
-            ):
-                sweep_start = perf()
-                pubs = self._step_block(gid, rng, rec)
-                for i, sz in enumerate(sizes):
-                    evals_m[i] += sz
-                    gens_m[i] += 1
-                    beats_m[i] += 1
-                eval_counts[lo:hi] = evals_m
-                gen_counts[lo:hi] = gens_m
-                beats[lo:hi] = beats_m
-                gens = gens_m[0]
-                if scope is not None:
-                    scope.record("sweep", f"pubs={pubs}", float(gens))
-                if rec is not None:
-                    sweep_end = perf()
-                    rec.observe("sweep_us", (sweep_end - sweep_start) * 1e6)
-                    if tracer is not None:
-                        tracer.complete(
-                            "sweep",
-                            sweep_start - t0,
-                            sweep_end - sweep_start,
-                            {"generation": gens},
-                        )
-                if crash_here and gens - start_gens >= crash_after:
-                    raise RuntimeError(
-                        f"injected crash in shm worker {crash_tid} "
-                        "(REPRO_SHM_CRASH_WORKER)"
-                    )
-            for t in members:
-                done[t] = 1  # budget exhausted != stalled
-            if scope is not None:
-                scope.record("budget.done", value=float(gens_m[0]))
-            if rec is not None:
-                telemetry_q.put(
-                    (lead, rec.snapshot(), tracer.events if tracer is not None else [])
-                )
-
-        def worker(gid: int) -> None:
-            if obs is not None:
-                # per-process observability (flight ring, crash hooks,
-                # resource/stack samplers) must be built post-fork so it
-                # observes this worker, not the parent
-                with obs.process_scope(f"w{groups[gid][0]}") as scope:
-                    body(gid, scope)
-            else:
-                body(gid, None)
-
-        procs = [
-            mp.Process(
-                target=worker, args=(gid,), name=f"pacga-shm-w{groups[gid][0]}"
-            )
-            for gid in range(n_procs)
-        ]
-        def drain_telemetry() -> None:
-            # Drain while workers are still alive, not just after join: a
-            # finishing worker blocks in telemetry_q.put() once the end-of-run
-            # payload (metrics snapshot + per-sweep trace events) outgrows the
-            # pipe buffer, so a join-first parent deadlocks on long runs.
-            if obs is None:
-                return
-            while not telemetry_q.empty():
-                tid, snapshot, events = telemetry_q.get()
-                from repro.obs.metrics import MetricRecorder
-
-                obs.registry.adopt(MetricRecorder.from_snapshot(snapshot))
                 if obs.tracer is not None:
-                    obs.tracer.adopt(tid, events, f"pacga-shm-w{tid}")
+                    tracer = ThreadTracer(lead, obs.tracer.epoch)
+            # built post-fork, so the flight ring, crash hooks and
+            # samplers observe this worker, not the parent
+            scope_cm = nullcontext() if obs is None else obs.process_scope(f"w{lead}")
+            with scope_cm as scope:
 
-        stalled = None
-        try:
-            for p in procs:
-                p.start()
-            while alive := [p.sentinel for p in procs if p.is_alive()]:
-                drain_telemetry()
-                if obs is not None:
-                    total = int(sum(eval_counts))
-                    if self.sampler_due(total):
-                        try:
-                            obs.maybe_sample(
-                                total, lambda: obs.engine_row(self, 0, total)
-                            )
-                        except Exception as exc:
-                            # the parent samples the shared arena while
-                            # workers mutate it — a torn read must not
-                            # kill an otherwise healthy run
-                            obs.flight_event("sample.error", repr(exc)[:36])
-                if watchdog is not None:
-                    stalled = next(
-                        (ev for ev in watchdog.poll() if not ev.recovered), None
-                    )
-                    if stalled is not None:
-                        # escalate before killing: ask the stalled
-                        # worker to dump its own stacks (its SIGUSR1
-                        # handler, installed by the flight scope) so the
-                        # evidence lands in the bundle before terminate
-                        lead = groups[gid_of_tid[stalled.worker]][0]
-                        self._capture_stalled_stacks(
-                            procs[gid_of_tid[stalled.worker]], f"w{lead}", stalled
+                def after_sweep(pubs: int, gens: int) -> None:
+                    if scope is not None:
+                        scope.record("sweep", f"pubs={pubs}", float(gens))
+                    if crash in members and gens - start_gens >= crash_after:
+                        raise RuntimeError(
+                            f"injected crash in shm worker {crash} "
+                            "(REPRO_SHM_CRASH_WORKER)"
                         )
-                        for p in procs:
-                            if p.is_alive():
-                                p.terminate()
-                        break
-                # live sentinels only: an exited one is always ready (spin)
-                wait_for_sentinels(alive, timeout=0.02)
-            for p in procs:
-                p.join()
-            if stalled is not None:
-                if obs is not None:
-                    obs.meta.setdefault(
-                        "interrupted_by",
-                        {
-                            "role": f"w{stalled.worker}",
-                            "pid": procs[gid_of_tid[stalled.worker]].pid,
-                            "reason": "stall",
-                            "stalled_s": round(stalled.stalled_s, 3),
-                        },
-                    )
-                raise RuntimeError(
-                    f"shm worker {stalled.worker} stalled for "
-                    f"{stalled.stalled_s:.1f}s (heartbeat {stalled.heartbeat}); "
-                    "worker group terminated"
-                )
-            failed = [
-                (groups[gid][0], p)
-                for gid, p in enumerate(procs)
-                if p.exitcode != 0
-            ]
-            if failed:
-                if obs is not None:
-                    tid0, p0 = failed[0]
-                    obs.meta.setdefault(
-                        "interrupted_by",
-                        {"role": f"w{tid0}", "pid": p0.pid, "exitcode": p0.exitcode},
-                    )
-                raise RuntimeError(
-                    f"shm workers failed: {[p.name for _, p in failed]}"
-                )
-        except BaseException:
-            if obs is not None:
-                obs.stop_runtime()
-            raise
-        self._eval_counts = [int(e) for e in eval_counts]
-        self._gen_counts = [int(g) for g in gen_counts]
 
-        if obs is not None:
-            drain_telemetry()
-            obs.stop_runtime()
-        return self._result(budget)
+                gens = loop(rec, tracer, after_sweep)
+                if scope is not None:
+                    scope.record("budget.done", value=float(gens))
 
-    def _capture_stalled_stacks(self, victim, role, stalled, wait_s: float = 1.5) -> None:
-        """Stall escalation: SIGUSR1 the stalled worker, wait for its dump.
-
-        ``victim`` is the process hosting the stalled block, ``role``
-        its flight-scope role (the group leader's ``w<tid>``).  The
-        worker's signal handler appends an all-thread stack dump to
-        ``flight/stacks-<role>.txt``; the parent waits (bounded) for
-        that file so the capture lands in the bundle *before* the group
-        is terminated.  No-op without flight recording or when the
-        worker is already gone.
-        """
-        obs = self.obs
-        if obs is None or not obs.flight_enabled:
-            return
-        if not victim.is_alive() or victim.pid is None:
-            return
-        from repro.obs.flight import flight_paths
-
-        stacks_path = flight_paths(obs.out, role)["stacks"]
-        before = stacks_path.stat().st_size if stacks_path.exists() else 0
-        try:
-            import signal as _signal
-
-            os.kill(victim.pid, _signal.SIGUSR1)
-        except (ProcessLookupError, OSError):  # pragma: no cover - racing exit
-            return
-        deadline = time.perf_counter() + wait_s
-        while time.perf_counter() < deadline:
-            if stacks_path.exists() and stacks_path.stat().st_size > before:
-                break
-            time.sleep(0.02)
-        obs.flight_event("stall", f"w{stalled.worker}", stalled.stalled_s)
+        worker = self._mpctx.Process(target=body, name=self._worker_name(lead))
+        worker.start()
+        return worker

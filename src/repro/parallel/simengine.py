@@ -30,6 +30,7 @@ from repro.cga.config import CGAConfig, StopCondition
 from repro.cga.engine import RunResult, evolve_individual
 from repro.cga.hooks import as_hooks
 from repro.parallel.costmodel import XEON_E5440, CostModel
+from repro.parallel.partitioned import fire_generations
 from repro.runtime.context import build_context, finish_run
 
 __all__ = ["SimulatedPACGA"]
@@ -273,6 +274,7 @@ class SimulatedPACGA:
                 (float(clocks[tid]), tid) for tid in range(n) if tid not in pending
             )
         heapq.heapify(heap)
+        fired = min(gens)
 
         # live scheduler state, readable by capture_state at the sweep
         # boundaries where the checkpoint callback fires
@@ -399,6 +401,9 @@ class SimulatedPACGA:
                     )
             positions[tid] = pos
             heapq.heappush(heap, (clock, tid))
+            if completed and gens[tid] == fired + 1:
+                # this sweep may have advanced the slowest logical thread
+                fired = fire_generations(self, fired, min(gens), total_evals)
             if completed and self._ckpt is not None and completions % self._ckpt[0] == 0:
                 # the heap now holds every pending event again, so the
                 # snapshot is a consistent scheduler state

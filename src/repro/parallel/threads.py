@@ -12,11 +12,9 @@ not wall-clock speedup; use :class:`repro.parallel.shm.ShmBlockPACGA`
 for real parallelism or :class:`repro.parallel.simengine.SimulatedPACGA`
 for the paper's performance model.
 
-Run loops: the checkpoint protocol, counter resume, result and the
-deterministic ``lockstep`` loop live in the shared partitioned skeleton
-:class:`~repro.parallel.partitioned.PartitionedEngine` (shared with the
-shm engine); this module supplies one block sweep (``_step_block``) and
-the free-running OS-thread loop (``_run_free``).
+Run loops: both live in the partitioned skeleton shared with shm,
+:class:`~repro.parallel.partitioned.PartitionedEngine`; this module
+supplies the block sweep and the worker start, an OS thread.
 
 Observability: pass ``obs=repro.obs.Observer(...)`` and every worker
 gets a private metric recorder (sweeps, sweep latency, boundary
@@ -27,8 +25,8 @@ eight is observed in full: its phases are lapped and it takes the
 shared per-individual locks through the worker's
 :class:`~repro.parallel.rwlock.TimedLocks` view, whose wait/hold totals
 are scaled to all steps.  The other seven, and every step with
-``obs=None``, run the plain operators and locks.  Worker 0 samples the
-convergence time series.
+``obs=None``, run the plain operators and locks.  The parent thread
+samples the convergence time series while the workers run.
 
 Determinism: free-running threads are *not* reproducible — the GIL
 hands the interpreter between workers at arbitrary bytecode boundaries,
@@ -43,15 +41,14 @@ This is the mode the universal checkpoint layer
 
 from __future__ import annotations
 
+import os
 import threading
-import time
 
-from repro.cga.config import CGAConfig, StopCondition
-from repro.cga.engine import RunResult, evolve_individual
+from repro.cga.config import CGAConfig
+from repro.cga.engine import evolve_individual
 from repro.parallel.partitioned import PartitionedEngine
 from repro.parallel.rwlock import LockManager, TimedLocks
-from repro.runtime.budget import Budget
-from repro.runtime.context import attach_runtime, build_context, detach_runtime
+from repro.runtime.context import build_context
 
 __all__ = ["ThreadedPACGA"]
 
@@ -76,8 +73,8 @@ class ThreadedPACGA(PartitionedEngine):
         the worker-heartbeat watchdog.
     hooks:
         Optional :class:`~repro.cga.hooks.EngineHooks`; this engine
-        dispatches ``on_stall`` (from the
-        watchdog monitor thread) and ``on_stop``.
+        dispatches ``on_generation`` (from the run loop's thread),
+        ``on_stall`` (from the watchdog monitor thread) and ``on_stop``.
     lockstep:
         Run the workers serialized in deterministic round-robin order
         instead of free-running OS threads (see module docstring).
@@ -128,67 +125,35 @@ class ThreadedPACGA(PartitionedEngine):
             rec.inc("boundary_evals", self._boundary_per_sweep[tid])
             tally.flush()
 
-    def _run_free(self, stop: StopCondition) -> RunResult:
-        """Free-running OS threads (the paper's concurrent execution)."""
-        n = self.config.n_threads
-        budget = Budget(stop)
-        eval_share = budget.eval_share(n)
-        eval_counts, gen_counts = self._eval_counts, self._gen_counts
-        obs = self.obs
-        evals_live = list(eval_counts)  # sweep-granular, read by the sampler
-        board = attach_runtime(self, n, lambda: (None, sum(evals_live)))
-        budget.start()
+    def _start_worker(self, gid: int, members, loop) -> "_WorkerThread":
+        """Start free-running worker ``gid`` as an OS thread; its metrics
+        and trace lane go straight into the observer."""
+        worker = _WorkerThread(
+            target=loop, args=self._sinks(gid), name=self._worker_name(gid)
+        )
+        worker.start()
+        return worker
 
-        def worker(tid: int) -> None:
-            rng = self._worker_rngs[tid]
-            size = self.blocks[tid].size
-            rec = obs.recorder(tid) if obs is not None else None
-            tracer = obs.thread_tracer(tid, f"pacga-{tid}") if obs is not None else None
-            perf = time.perf_counter
-            evals = eval_counts[tid]
-            gens = gen_counts[tid]
-            while not budget.worker_exhausted(evals, gens, eval_share):
-                sweep_start = perf()
-                self._step_block(tid, rng, rec)
-                evals += size
-                gens += 1
-                if rec is None:
-                    continue
-                sweep_end = perf()
-                if board is not None:
-                    board.beat(tid)
-                rec.observe("sweep_us", (sweep_end - sweep_start) * 1e6)
-                if tracer is not None:
-                    tracer.complete(
-                        "sweep",
-                        sweep_start - obs.epoch,
-                        sweep_end - sweep_start,
-                        {"generation": gens},
-                    )
-                evals_live[tid] = evals
-                if tid == 0:
-                    # a single designated sampler thread: the population
-                    # snapshot is read lock-free (approximate by design)
-                    total = sum(evals_live)
-                    obs.maybe_sample(
-                        total, lambda: obs.engine_row(self, gens, total)
-                    )
-            if board is not None:
-                board.mark_done(tid)  # budget exhausted != stalled
-            eval_counts[tid] = evals
-            gen_counts[tid] = gens
 
-        threads = [
-            threading.Thread(target=worker, args=(tid,), name=f"pacga-{tid}")
-            for tid in range(n)
-        ]
+class _WorkerThread(threading.Thread):
+    """A worker thread with the process-handle surface the supervision
+    loop reads: ``exitcode`` (1 with the exception in ``error``),
+    ``pid`` and ``terminate`` — a no-op: the halt flag stops a thread."""
+
+    exitcode: int | None = None
+    error: BaseException | None = None
+
+    @property
+    def pid(self) -> int:
+        return os.getpid()
+
+    def run(self) -> None:
         try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            # final live.json publish happens after the workers'
-            # recorders have quiesced, so live counts == bundle counts
-            detach_runtime(self, board)
-        return self._result(budget)
+            super().run()
+        except BaseException as exc:
+            self.error, self.exitcode = exc, 1
+        else:
+            self.exitcode = 0
+
+    def terminate(self) -> None:
+        pass

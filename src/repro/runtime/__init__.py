@@ -27,7 +27,7 @@ heartbeats, checkpointing) is wired once, not six times:
   and parallelism class (consumed by the CLI, the experiment harnesses
   and the takeover study);
 * :mod:`repro.runtime.checkpoint` — universal checkpoint/resume
-  (format v2): generation/sweep-boundary snapshots with per-stream RNG
+  (format v3): generation/sweep-boundary snapshots with per-stream RNG
   state for every registered engine.
 """
 

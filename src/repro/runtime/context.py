@@ -274,38 +274,30 @@ def attach_runtime(
     engine,
     n_workers: int,
     counts: Callable[[], tuple[int, int]],
-    counters=None,
-    done=None,
+    board=None,
 ):
     """Attach the observer's live publisher/watchdog for one run.
 
     ``counts`` is a lock-free provider of ``(generation, evaluations)``
-    progress; ``counters``/``done`` optionally supply shared-memory
-    backing for the heartbeat board (the shm engine's fork-shared
-    RawArrays).  Returns the board, or None when the observer requests
-    no runtime attachment (the run loop then stays untouched).
+    progress; ``board`` is the workers' heartbeat board when the engine
+    keeps its own (the partitioned engines: for forked workers it is
+    backed by fork-shared RawArrays).  Returns the board, or None when
+    the observer requests no runtime attachment (the run loop then stays
+    untouched).
     """
     obs = engine.obs
     if obs is None or not obs.runtime_wanted:
         return None
-    from repro.obs.watchdog import HeartbeatBoard
+    if board is None:
+        from repro.obs.watchdog import HeartbeatBoard
 
-    if counters is None:
         board = HeartbeatBoard(n_workers)
-    else:
-        board = HeartbeatBoard(n_workers, counters=counters, done=done)
 
     def progress() -> dict:
         # lock-free snapshot, approximate by design (same rule as the
         # time-series sampler)
         _, best = engine.pop.best()
         generation, evaluations = counts()
-        if generation is None:
-            # partitioned engines: heartbeats advance once per block
-            # sweep, so the slowest worker's beat count is the
-            # generation (same definition as their RunResult)
-            beats = board.read()
-            generation = min(beats) if beats else 0
         return {
             "generation": generation,
             "evaluations": evaluations,

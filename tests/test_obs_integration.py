@@ -155,6 +155,15 @@ class TestShmBundle:
         assert counters["op.crossover.attempts"] > 0
         assert counters["op.mutation.attempts"] > 0
         assert counters["boundary_evals"] > 0
+        if lockstep:
+            # one sweep_us observation and one sweep span per block sweep,
+            # as in free-running mode
+            sweeps = sum(res.extra["per_thread_generations"])
+            assert hists["sweep_us"].count == sweeps
+            spans = [
+                e for e in obs.tracer.export()["traceEvents"] if e["name"] == "sweep"
+            ]
+            assert len(spans) == sweeps
         # the batch rule, which the scalar tally adopts
         assert counters["ls.moves_tried"] == counters["ls.calls"] * CFG.ls_iterations
         for phase in self.PHASES:

@@ -97,6 +97,46 @@ class TestRunResultContract:
         mm = min_min(small_instance).s
         assert any(np.array_equal(row, mm) for row in eng.pop.s)
 
+    def test_on_generation_fires_once_per_generation(self, name, small_instance):
+        assert _generations_seen(_make(name, small_instance)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["threads", "shm"])
+def test_free_running_fires_on_generation(name, small_instance):
+    eng = _make(name, small_instance, lockstep=False)
+    assert _generations_seen(eng) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["threads", "shm"])
+def test_free_running_fires_generations_finished_before_supervision(
+    name, small_instance
+):
+    """Workers that finish every sweep before the parent starts
+    supervising (a fast fork, a busy parent) still count from the run's
+    start: each generation fires once."""
+    eng = _make(name, small_instance, lockstep=False)
+    start = eng._start_worker
+
+    def start_and_finish(gid, members, loop):
+        worker = start(gid, members, loop)
+        worker.join()
+        return worker
+
+    eng._start_worker = start_and_finish
+    assert _generations_seen(eng) == [1, 2, 3]
+
+
+def _generations_seen(eng) -> list[int]:
+    """Run ``eng`` for 3 generations; the numbers ``on_generation`` saw
+    (one call per completed generation, ``1..result.generations``)."""
+    seen = []
+    eng.hooks.on_generation = lambda engine, generation, evaluations: seen.append(
+        generation
+    )
+    res = eng.run(StopCondition(max_generations=3))
+    assert res.generations == 3
+    return seen
+
 
 class TestResumeContract:
     @pytest.mark.parametrize("name,n", RESUME_CASES)

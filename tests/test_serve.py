@@ -463,6 +463,33 @@ class TestStallEscalation:
         finally:
             svc.stop()
 
+    def test_healthy_partitioned_job_reports_progress_and_is_not_killed(
+        self, tmp_path
+    ):
+        # a threads job reports progress every round like any engine, so
+        # a stall deadline shorter than the whole run must not kill it
+        svc = SolveService(tmp_path, workers=1, stall_deadline_s=0.75).start()
+        try:
+            job = svc.submit(
+                {
+                    "problem": "independent",
+                    "instance": "u_c_hihi.0",
+                    "engine": "threads",
+                    "config": {"n_threads": 2, "ls_iterations": 5},
+                    "budget": {"max_generations": 12},
+                    "seed": 1,
+                }
+            )
+            rec = _wait(
+                lambda: (r := svc.job(job["id"]))["state"] in ("done", "failed") and r,
+                timeout_s=60.0,
+            )
+            assert rec["state"] == "done", rec["error"]
+            assert rec["progress"] is not None
+            assert svc.metrics.counters.get("serve.jobs.stalled", 0) == 0
+        finally:
+            svc.stop()
+
 
 class TestDrainAndRecovery:
     def test_drain_parks_inflight_job_and_restart_resumes_it(self, tmp_path):

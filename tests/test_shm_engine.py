@@ -279,7 +279,7 @@ class TestSeqlock:
 
         t = threading.Thread(target=writer)
         t.start()
-        s, ct = eng._seq_gather(np.array([c]))
+        s, ct = eng._gather_rows(eng._units[0], np.array([c]))  # c is foreign
         t.join()
         assert (s[0] == 0).all()
         assert np.array_equal(ct[0], eng.pop.ct[c])

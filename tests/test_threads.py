@@ -5,10 +5,14 @@ concurrency — the per-individual RW locks must keep every (S, CT,
 fitness) triple internally consistent no matter how sweeps interleave.
 """
 
+import json
+import sys
+
 import numpy as np
 import pytest
 
 from repro.cga import CGAConfig, StopCondition
+from repro.obs import Observer
 from repro.parallel import ThreadedPACGA
 
 
@@ -70,3 +74,51 @@ class TestThreadedPACGA:
         eng = ThreadedPACGA(tiny_instance, CFG.with_(n_threads=4), seed=4)
         eng.run(StopCondition(max_generations=25))
         eng.pop.check_invariants()
+
+
+    def test_supervision_sees_every_generation_under_fast_switching(
+        self, tiny_instance
+    ):
+        # more workers than cores and a short switch interval: the parent
+        # reads the workers' counters while they write them, and must
+        # still fire the generation hook once per completed generation
+        eng = ThreadedPACGA(tiny_instance, CFG.with_(n_threads=4), seed=5)
+        seen = []
+        eng.hooks.on_generation = lambda e, generation, evals: seen.append(generation)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            res = eng.run(StopCondition(max_generations=12))
+        finally:
+            sys.setswitchinterval(old)
+        assert res.extra["per_thread_generations"] == [12] * 4
+        assert seen == list(range(1, 13))
+        eng.pop.check_invariants()
+
+
+class TestWorkerFailure:
+    def test_failing_worker_fails_the_run_and_names_itself(
+        self, tiny_instance, tmp_path
+    ):
+        """A worker that raises must fail the run loudly, not let it
+        return a partial budget as a success."""
+        out = tmp_path / "bundle"
+        obs = Observer(out=out, sample_every_evals=10**9)
+        eng = ThreadedPACGA(tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs)
+        step, sweeps = eng._step_block, []
+
+        def flaky(tid, rng, rec=None):
+            if tid == 1:
+                sweeps.append(tid)
+                if len(sweeps) == 2:
+                    raise ValueError("worker 1 broke")
+            step(tid, rng, rec)
+
+        eng._step_block = flaky
+        with pytest.raises(RuntimeError, match="w1") as info:
+            with obs:
+                eng.run(StopCondition(max_evaluations=2048))
+        assert isinstance(info.value.__cause__, ValueError)
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["interrupted_by"]["role"] == "w1"
+        assert meta["interrupted_by"]["exitcode"] == 1
