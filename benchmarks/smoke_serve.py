@@ -74,6 +74,19 @@ def check(ok: bool, what: str) -> None:
         sys.exit(1)
 
 
+def kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the server and every engine worker it forked, then reap it.
+
+    The server runs in its own session, so its process group holds the
+    workers too; a plain ``proc.kill()`` would leave them running.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the whole group already exited
+        pass
+    proc.wait()
+
+
 def start_server(spool: Path, workers: int = 2) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [
@@ -86,6 +99,7 @@ def start_server(spool: Path, workers: int = 2) -> tuple[subprocess.Popen, str]:
         stderr=subprocess.STDOUT,
         text=True,
         env=ENV,
+        start_new_session=True,
     )
     port = None
     deadline = time.monotonic() + 30
@@ -96,6 +110,8 @@ def start_server(spool: Path, workers: int = 2) -> tuple[subprocess.Popen, str]:
             break
         if not line and proc.poll() is not None:
             break
+    if port is None:
+        kill_group(proc)
     check(port is not None, "server never reported its listen port")
     return proc, f"http://127.0.0.1:{port}"
 
@@ -130,8 +146,12 @@ def wait_states(base: str, ids: list[str], timeout_s: float) -> dict[str, dict]:
 
 
 def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="smoke-serve-"))
-    spool = tmp / "spool"
+    # removed on success and on failure (check() exits via SystemExit)
+    with tempfile.TemporaryDirectory(prefix="smoke-serve-") as tmp:
+        return run(Path(tmp) / "spool")
+
+
+def run(spool: Path) -> int:
     accepted: list[str] = []
 
     proc, base = start_server(spool)
@@ -225,8 +245,7 @@ def main() -> int:
         )
         print("phase 3: SIGTERM drained cleanly (exit 0, in-flight job parked)")
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        kill_group(proc)
 
     # -- phase 3b: restart resumes the spool to completion -----------------
     proc, base = start_server(spool)
@@ -248,8 +267,7 @@ def main() -> int:
         proc.send_signal(signal.SIGTERM)
         check(proc.wait(timeout=60) == 0, "final drain exit code")
     finally:
-        if proc.poll() is None:
-            proc.kill()
+        kill_group(proc)
 
     print(
         f"OK: {len(accepted)} accepted jobs, zero lost "

@@ -38,7 +38,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import ThreadTracer, Tracer
 from repro.obs.timeseries import TimeSeriesSampler
-from repro.obs.observer import Observer, WorkerObs
+from repro.obs.observer import Observer
 from repro.obs.report import load_bundle, render_markdown, render_terminal
 from repro.obs.live import LivePublisher, render_openmetrics
 from repro.obs.watchdog import HeartbeatBoard, StallEvent, Watchdog
@@ -50,13 +50,7 @@ from repro.obs.history import (
     load_history,
     summarize_bundle,
 )
-from repro.obs.flight import (
-    FlightRecorder,
-    dump_stacks,
-    install_crash_hooks,
-    load_flight_dir,
-    worker_crash_scope,
-)
+from repro.obs.flight import FlightRecorder, ProcessObs, dump_stacks, load_flight_dir
 from repro.obs.resources import ResourceSampler, load_resource_rows, resource_peaks
 from repro.obs.sample import StackSampler, hot_functions, merge_collapsed
 from repro.obs.postmortem import render_postmortem
@@ -77,7 +71,6 @@ __all__ = [
     "ThreadTracer",
     "TimeSeriesSampler",
     "Observer",
-    "WorkerObs",
     "load_bundle",
     "render_markdown",
     "render_terminal",
@@ -93,10 +86,9 @@ __all__ = [
     "load_history",
     "summarize_bundle",
     "FlightRecorder",
+    "ProcessObs",
     "dump_stacks",
-    "install_crash_hooks",
     "load_flight_dir",
-    "worker_crash_scope",
     "ResourceSampler",
     "load_resource_rows",
     "resource_peaks",

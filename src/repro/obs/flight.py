@@ -18,17 +18,18 @@ survives the wreck:
 * :func:`dump_stacks` — format every thread's current Python stack
   (via ``sys._current_frames()``), used by the SIGUSR1 handler and by
   the watchdog's stall escalation.
-* :func:`install_crash_hooks` — per-process post-mortem wiring:
-  ``faulthandler`` onto a crash log (hard faults), a chained
-  ``sys.excepthook`` that stamps the exception + all thread stacks
-  into ``postmortem-<role>.json``, an ``atexit`` closer, and a
-  ``SIGUSR1`` handler that appends a live all-thread stack dump to
-  ``stacks-<role>.txt`` and records a ``signal`` flight event — so a
-  stuck run can be interrogated from the outside with plain ``kill``.
-* :func:`worker_crash_scope` — the forked-worker wrapper: installs the
-  hooks, and on any escaping exception writes the post-mortem record
-  (pid, role, traceback, final resource sample) before re-raising, so
-  the parent's "worker failed" error is attributable from the bundle.
+* :class:`ProcessObs` — one process's black box: its ring, the crash
+  hooks (``faulthandler`` onto a crash log, a chained
+  ``sys.excepthook`` that stamps the exception + all thread stacks into
+  ``postmortem-<role>.json``, and a ``SIGUSR1`` handler that appends a
+  live all-thread stack dump to ``stacks-<role>.txt`` and records a
+  ``signal`` flight event, so a stuck run can be interrogated from the
+  outside with plain ``kill``), the resource sampler and the stack
+  sampler.  The observer holds the parent's instance; each forked
+  worker (shm engine, solve service) wraps its body in one, which on
+  any escaping exception writes the post-mortem record (pid, role,
+  traceback, final resource sample) before re-raising, so the parent's
+  "worker failed" error is attributable from the bundle.
 
 Layout inside a bundle::
 
@@ -37,6 +38,7 @@ Layout inside a bundle::
       stacks-<role>.txt     # SIGUSR1 / stall-escalation stack dumps
       postmortem-<role>.json# written by the crash hooks on exception
       crash-<role>.log      # faulthandler output for hard faults
+      resources-<role>.jsonl, samples-<role>.collapsed  # workers only
 
 Reading is offline-only (:func:`load_flight_dir`,
 :meth:`FlightRecorder.events`): the renderer in
@@ -62,8 +64,7 @@ __all__ = [
     "dump_stacks",
     "append_stack_dump",
     "write_postmortem",
-    "install_crash_hooks",
-    "worker_crash_scope",
+    "ProcessObs",
     "load_flight_dir",
     "flight_paths",
 ]
@@ -294,12 +295,15 @@ def write_postmortem(
     return paths["postmortem"]
 
 
-# -- per-process crash hooks ------------------------------------------------
+# -- one process's black box ------------------------------------------------
 
 class _CrashHooks:
-    """Handle for one process's installed post-mortem wiring."""
+    """One process's post-mortem wiring: ``faulthandler`` onto the crash
+    log, a chained ``sys.excepthook`` that writes the post-mortem record,
+    and a SIGUSR1 stack-dump handler.  :meth:`uninstall` restores all
+    three."""
 
-    def __init__(self, out, role: str, ring: FlightRecorder | None, resources=None):
+    def __init__(self, out, role: str, ring: FlightRecorder, resources=None):
         self.out = Path(out)
         self.role = role
         self.ring = ring
@@ -307,15 +311,26 @@ class _CrashHooks:
         self.paths = flight_paths(out, role)
         self._prev_excepthook = None
         self._prev_sigusr1 = None
+        self._fault_was_enabled = False
         self._crash_fh = None
-        self._installed = False
+
+    def postmortem(self, exc: BaseException) -> None:
+        """A ``crash`` ring event, then ``postmortem-<role>.json`` with a
+        final resource sample."""
+        self.ring.record("crash", f"{type(exc).__name__}: {exc}"[:36])
+        final = None
+        if self.resources is not None:
+            try:
+                final = self.resources.sample()
+            except Exception:  # pragma: no cover
+                final = None
+        write_postmortem(self.out, self.role, exc, resources=final)
 
     # the SIGUSR1 handler: dump all thread stacks + note it in the ring
     def _on_sigusr1(self, signum, frame) -> None:
         try:
             append_stack_dump(self.paths["stacks"], note="SIGUSR1")
-            if self.ring is not None:
-                self.ring.record("signal", "SIGUSR1 stack dump")
+            self.ring.record("signal", "SIGUSR1 stack dump")
             if self.resources is not None:
                 self.resources.sample()
         except Exception:  # pragma: no cover - never die inside a handler
@@ -323,40 +338,33 @@ class _CrashHooks:
 
     def _on_uncaught(self, exc_type, exc, tb) -> None:
         try:
-            if self.ring is not None:
-                self.ring.record("crash", f"{exc_type.__name__}: {exc}"[:36])
-            final = self.resources.sample() if self.resources is not None else None
             err = exc if isinstance(exc, BaseException) else exc_type(exc)
             err.__traceback__ = tb
-            write_postmortem(self.out, self.role, err, resources=final)
+            self.postmortem(err)
         except Exception:  # pragma: no cover
             pass
         if self._prev_excepthook is not None:
             self._prev_excepthook(exc_type, exc, tb)
 
     def install(self) -> "_CrashHooks":
-        if self._installed:
-            return self
-        self._installed = True
-        self.paths["ring"].parent.mkdir(parents=True, exist_ok=True)
-        # hard faults (SIGSEGV & co): faulthandler writes C-level-safe
-        # all-thread tracebacks into the crash log
         import faulthandler
 
+        # hard faults (SIGSEGV & co): faulthandler writes C-level-safe
+        # all-thread tracebacks into the crash log
+        self._fault_was_enabled = faulthandler.is_enabled()
         self._crash_fh = open(self.paths["crashlog"], "w", encoding="utf-8")
         faulthandler.enable(file=self._crash_fh, all_threads=True)
         self._prev_excepthook = sys.excepthook
         sys.excepthook = self._on_uncaught
         # SIGUSR1 is only installable from the main thread of the
-        # process; forked shm workers satisfy that (fork re-mains them)
+        # process; forked workers satisfy that (fork re-mains them)
         if threading.current_thread() is threading.main_thread():
             self._prev_sigusr1 = signal.signal(signal.SIGUSR1, self._on_sigusr1)
         return self
 
     def uninstall(self) -> None:
-        if not self._installed:
-            return
-        self._installed = False
+        import faulthandler
+
         if sys.excepthook == self._on_uncaught and self._prev_excepthook is not None:
             sys.excepthook = self._prev_excepthook
         if self._prev_sigusr1 is not None:
@@ -364,59 +372,144 @@ class _CrashHooks:
                 signal.signal(signal.SIGUSR1, self._prev_sigusr1)
             except (ValueError, OSError):  # pragma: no cover - not main thread
                 pass
-            self._prev_sigusr1 = None
-        import faulthandler
-
-        if self._crash_fh is not None:
+        faulthandler.disable()
+        self._crash_fh.close()
+        if self._fault_was_enabled and sys.__stderr__ is not None:
+            # faulthandler cannot report its previous file; stderr is
+            # where it writes by default
             try:
-                faulthandler.disable()
-            finally:
-                self._crash_fh.close()
-                self._crash_fh = None
+                faulthandler.enable(file=sys.__stderr__, all_threads=True)
+            except (ValueError, OSError):  # pragma: no cover - stderr closed
+                pass
 
 
-def install_crash_hooks(out, role: str, ring: FlightRecorder | None = None, resources=None) -> _CrashHooks:
-    """Install this process's post-mortem wiring (see module docstring)."""
-    return _CrashHooks(out, role, ring, resources=resources).install()
+class ProcessObs:
+    """One process's black box: flight ring, crash hooks, resource
+    sampler and stack sampler, built and torn down in one fixed order.
 
+    The :class:`~repro.obs.observer.Observer` starts the bundle's
+    ``main`` instance from its settings and closes it at finalize; a
+    forked worker enters :meth:`child` after the fork, so every
+    per-process object observes the process it runs in.  :meth:`start`
+    brings up ring, resources, stacks and hooks; :meth:`close` tears
+    them down in reverse, once.  Wrapped around a worker body
+    (``with``), an escaping exception first records a ``crash`` event
+    and writes ``postmortem-<role>.json`` with a final resource sample,
+    then re-raises, so the parent's "worker failed" error is
+    attributable from the bundle.
 
-class worker_crash_scope:
-    """Context manager wrapping a forked worker's whole body.
-
-    Installs the crash hooks on entry; on an escaping exception writes
-    the worker's post-mortem record and a ``crash`` flight event, then
-    re-raises so the parent still sees a nonzero exit code.  On exit
-    (either way) the ring and hooks are flushed/closed.
+    The ring and the hooks need ``out`` and ``flight``.  The ``main``
+    role streams its resource rows to the bundle's ``resources.jsonl``
+    and keeps its stack samples in memory for the observer's merge;
+    every other role writes ``resources-<role>.jsonl`` and
+    ``samples-<role>.collapsed`` under ``flight/``.
     """
 
-    def __init__(self, out, role: str, ring: FlightRecorder | None = None, resources=None):
-        self.out = out
+    def __init__(
+        self,
+        out,
+        role: str,
+        *,
+        flight: bool = False,
+        resources: bool = False,
+        resource_every_s: float = 0.5,
+        stack_sample_s: float | None = None,
+        epoch_unix: float | None = None,
+        recorder=None,
+    ):
+        self.out = Path(out) if out is not None else None
         self.role = role
-        self.ring = ring
-        self.resources = resources
+        self.flight = bool(flight) and self.out is not None
+        self.sample_resources = bool(resources)
+        self.resource_every_s = float(resource_every_s)
+        self.stack_sample_s = stack_sample_s
+        #: shared wall-clock zero of every ring of one run, so events
+        #: from forked workers line up on one time axis
+        self.epoch_unix = epoch_unix
+        self._recorder = recorder
+        self.ring: FlightRecorder | None = None
+        self.resources = None
+        self.stacks = None
         self.hooks: _CrashHooks | None = None
+        self._closed = False
 
-    def __enter__(self) -> "worker_crash_scope":
-        self.hooks = install_crash_hooks(
-            self.out, self.role, self.ring, resources=self.resources
+    def child(self, role: str) -> "ProcessObs":
+        """The unstarted scope a forked worker enters after the fork:
+        these settings under ``role``.  Inert without ``out``, since a
+        worker's artifacts reach the parent only as files."""
+        if self.out is None:
+            return ProcessObs(None, role)
+        return ProcessObs(
+            self.out,
+            role,
+            flight=self.flight,
+            resources=self.sample_resources,
+            resource_every_s=self.resource_every_s,
+            stack_sample_s=self.stack_sample_s,
+            epoch_unix=self.epoch_unix,
         )
+
+    def start(self) -> "ProcessObs":
+        """Ring, resource sampler, stack sampler, crash hooks."""
+        main = self.role == "main"
+        paths = flight_paths(self.out, self.role) if self.out is not None else {}
+        if self.flight:
+            self.ring = FlightRecorder(paths["ring"], epoch_unix=self.epoch_unix)
+        if self.sample_resources:
+            from repro.obs.resources import ResourceSampler
+
+            path = None
+            if self.out is not None:
+                path = self.out / "resources.jsonl" if main else paths["resources"]
+            self.resources = ResourceSampler(
+                path,
+                role=self.role,
+                every_s=self.resource_every_s,
+                recorder=self._recorder,
+            ).start()
+        if self.stack_sample_s is not None:
+            from repro.obs.sample import StackSampler
+
+            self.stacks = StackSampler(
+                interval_s=self.stack_sample_s,
+                out_path=None if main else paths.get("samples"),
+                role=self.role,
+            ).start()
+        if self.ring is not None:
+            self.hooks = _CrashHooks(
+                self.out, self.role, self.ring, resources=self.resources
+            ).install()
         return self
+
+    def record(self, kind: str, msg: str = "", value: float = 0.0) -> None:
+        """One event into this process's ring (no-op without one)."""
+        if self.ring is not None:
+            self.ring.record(kind, msg, value)
+
+    def close(self) -> None:
+        """Hooks, stack sampler, resource sampler (final sample), ring."""
+        if self._closed:
+            return
+        self._closed = True
+        if self.hooks is not None:
+            self.hooks.uninstall()
+        for sampler in (self.stacks, self.resources):
+            if sampler is not None:
+                try:
+                    sampler.stop()
+                except Exception:  # pragma: no cover
+                    pass
+        if self.ring is not None:
+            self.ring.close()
+
+    def __enter__(self) -> "ProcessObs":
+        return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         try:
-            if exc is not None and not isinstance(exc, SystemExit):
-                if self.ring is not None:
-                    self.ring.record("crash", f"{exc_type.__name__}: {exc}"[:36])
-                final = None
-                if self.resources is not None:
-                    try:
-                        final = self.resources.sample()
-                    except Exception:  # pragma: no cover
-                        final = None
-                write_postmortem(self.out, self.role, exc, resources=final)
+            crashed = exc is not None and not isinstance(exc, SystemExit)
+            if crashed and self.hooks is not None:
+                self.hooks.postmortem(exc)
         finally:
-            if self.hooks is not None:
-                self.hooks.uninstall()
-            if self.ring is not None:
-                self.ring.close()
+            self.close()
         return False

@@ -216,7 +216,7 @@ class LivePublisher:
         griddyn = getattr(obs, "griddyn", None)
         if griddyn is not None and griddyn.latest is not None:
             snap["grid"] = griddyn.latest
-        resources = getattr(obs, "resources", None)
+        resources = obs.proc.resources
         if resources is not None and resources.latest is not None:
             snap["resources"] = dict(resources.latest)
             snap["resources"].update(resources.peaks)

@@ -38,8 +38,10 @@ flight recorder (:mod:`repro.obs.flight` — mmap'd event rings, crash
 hooks, SIGUSR1 stack dumps), ``resources=True`` the per-process
 ``/proc/self`` sampler (:mod:`repro.obs.resources`), and
 ``stack_sample_s`` the statistical profiler
-(:mod:`repro.obs.sample`).  Forked engine workers get all three via
-:meth:`Observer.process_scope`, and :func:`render bundles with
+(:mod:`repro.obs.sample`).  One :class:`~repro.obs.flight.ProcessObs`
+(:attr:`Observer.proc`) runs all three for this process; forked engine
+workers enter ``obs.proc.child(role)`` after the fork, and
+:func:`render bundles with
 repro obs postmortem <repro.obs.postmortem.render_postmortem>`.
 """
 
@@ -56,7 +58,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesSampler
 from repro.obs.trace import Tracer
 
-__all__ = ["Observer", "WorkerObs"]
+__all__ = ["Observer"]
 
 
 class Observer:
@@ -137,52 +139,26 @@ class Observer:
         self.griddyn = None
         self.meta: dict = {}
         self.epoch = time.perf_counter()
-        #: shared wall-clock zero for every flight ring of this run, so
-        #: events from forked workers line up on one time axis
-        self.epoch_unix = time.time()
-        # -- process observability (flight / resources / stack sampler) --
-        self.flight_enabled = bool(flight) and self.out is not None
-        self.resource_every_s = float(resource_every_s)
-        self.stack_sample_s = stack_sample_s
-        self.resources = None
-        if resources:
-            from repro.obs.resources import ResourceSampler
+        from repro.obs.flight import ProcessObs
 
-            self.resources = ResourceSampler(
-                self.out / "resources.jsonl" if self.out is not None else None,
-                role="main",
-                every_s=self.resource_every_s,
-                recorder=self.recorder("resources"),
-            ).start()
-        self.stacks = None
-        if stack_sample_s is not None:
-            from repro.obs.sample import StackSampler
-
-            self.stacks = StackSampler(
-                interval_s=stack_sample_s, out_path=None, role="main"
-            ).start()
-        self.flight = None
-        self.crash_hooks = None
-        if self.flight_enabled:
-            from repro.obs.flight import (
-                FlightRecorder,
-                flight_paths,
-                install_crash_hooks,
-            )
-
-            self.flight = FlightRecorder(
-                flight_paths(self.out, "main")["ring"], epoch_unix=self.epoch_unix
-            )
-            self.crash_hooks = install_crash_hooks(
-                self.out, "main", ring=self.flight, resources=self.resources
-            )
-            self.flight.record("budget.start")
+        #: this process's flight ring, crash hooks, resource sampler and
+        #: stack sampler; forked workers enter ``proc.child(role)``
+        self.proc = ProcessObs(
+            self.out,
+            "main",
+            flight=flight,
+            resources=resources,
+            resource_every_s=resource_every_s,
+            stack_sample_s=stack_sample_s,
+            epoch_unix=time.time(),
+            recorder=self.recorder("resources") if resources else None,
+        ).start()
+        self.flight_event("budget.start")
         #: finalize the bundle automatically when the run ends (the
         #: experiment harnesses set it, so their per-run bundles need no
         #: manual finalize call)
         self.auto_finalize = False
         self._finalized: dict[str, Path] | None = None
-        self._proc_obs_stopped = False
 
     # -- collection API -------------------------------------------------
     def recorder(self, thread: str | int):
@@ -213,57 +189,7 @@ class Observer:
     # -- process observability -------------------------------------------
     def flight_event(self, kind: str, msg: str = "", value: float = 0.0) -> None:
         """Record one event into the main flight ring (no-op when off)."""
-        if self.flight is not None:
-            self.flight.record(kind, msg, value)
-
-    def flight_ring(self, role: str):
-        """A fresh per-role ring in this bundle's flight dir (or None).
-
-        Called *inside* a forked worker (post-fork), so the ring's
-        writer is that worker's own process; all rings share
-        :attr:`epoch_unix` so their events line up on one time axis.
-        """
-        if not self.flight_enabled:
-            return None
-        from repro.obs.flight import FlightRecorder, flight_paths
-
-        return FlightRecorder(
-            flight_paths(self.out, role)["ring"], epoch_unix=self.epoch_unix
-        )
-
-    def process_scope(self, role: str) -> "WorkerObs":
-        """The per-forked-worker observability runtime (context manager).
-
-        Entered inside the child after ``fork``: creates the worker's
-        own flight ring, crash hooks (post-mortem record + SIGUSR1
-        stack dumps), resource sampler and stack sampler, according to
-        what this observer has enabled.  With everything off it is an
-        inert no-op scope, so engines can wrap their worker bodies
-        unconditionally.
-        """
-        return WorkerObs(self, role)
-
-    def _stop_process_obs(self) -> None:
-        """Stop samplers / close the main ring exactly once."""
-        if self._proc_obs_stopped:
-            return
-        self._proc_obs_stopped = True
-        if self.stacks is not None:
-            try:
-                self.stacks.stop()
-            except Exception:  # pragma: no cover
-                pass
-        if self.resources is not None:
-            try:
-                self.resources.stop()
-            except Exception:  # pragma: no cover
-                pass
-        if self.flight is not None:
-            self.flight.record("budget.done")
-            self.flight.close()
-        if self.crash_hooks is not None:
-            self.crash_hooks.uninstall()
-            self.crash_hooks = None
+        self.proc.record(kind, msg, value)
 
     # -- live runtime (publisher + watchdog) -----------------------------
     @property
@@ -299,7 +225,7 @@ class Observer:
             from repro.obs.watchdog import Watchdog
 
             stack_capture = None
-            if self.flight_enabled:
+            if self.proc.ring is not None:
                 from repro.obs.flight import append_stack_dump, flight_paths
 
                 stacks_path = flight_paths(self.out, "main")["stacks"]
@@ -317,7 +243,7 @@ class Observer:
                 recorder=self.recorder("watchdog"),
                 tracer_for=lambda w: self.thread_tracer(w),
                 stack_capture=stack_capture,
-                flight=self.flight,
+                flight=self.proc.ring,
             ).start()
 
     def stop_runtime(self) -> None:
@@ -468,7 +394,8 @@ class Observer:
         self.stop_runtime()
         if self.griddyn is not None:
             self.griddyn.close()
-        self._stop_process_obs()
+        self.flight_event("budget.done")
+        self.proc.close()
         if self.out is None:
             self.sampler.close()
             return {}
@@ -477,7 +404,7 @@ class Observer:
         self.out.mkdir(parents=True, exist_ok=True)
         paths: dict[str, Path] = {}
 
-        if self.resources is not None:
+        if self.proc.resources is not None:
             from repro.obs.resources import resource_peaks
 
             paths["resources"] = self.out / "resources.jsonl"  # streamed
@@ -488,8 +415,8 @@ class Observer:
         # merged collapsed stacks: this process's sampler plus whatever
         # the forked workers left under flight/samples-*.collapsed
         sample_parts: list[str] = []
-        if self.stacks is not None:
-            sample_parts.append(self.stacks.collapsed())
+        if self.proc.stacks is not None:
+            sample_parts.append(self.proc.stacks.collapsed())
         flight_dir = self.out / "flight"
         if flight_dir.is_dir():
             sample_parts.extend(
@@ -561,85 +488,4 @@ class Observer:
             self.sampler.rows,
             grid_rows=self.griddyn.rows if self.griddyn is not None else None,
         )
-
-
-class WorkerObs:
-    """One forked worker's process-observability runtime.
-
-    Returned by :meth:`Observer.process_scope` and entered *inside* the
-    child: the flight ring, crash hooks, resource sampler and stack
-    sampler are all per-process objects, so they must be constructed
-    post-fork to observe the worker rather than the parent.  With
-    nothing enabled on the observer the scope is inert — engines wrap
-    their worker bodies unconditionally.
-    """
-
-    __slots__ = ("obs", "role", "ring", "resources", "stacks", "_scope")
-
-    def __init__(self, obs: Observer, role: str):
-        self.obs = obs
-        self.role = role
-        self.ring = None
-        self.resources = None
-        self.stacks = None
-        self._scope = None
-
-    def __enter__(self) -> "WorkerObs":
-        obs = self.obs
-        if obs.out is None:
-            return self
-        from repro.obs.flight import flight_paths
-
-        paths = flight_paths(obs.out, self.role)
-        if obs.flight_enabled:
-            self.ring = obs.flight_ring(self.role)
-        if obs.resources is not None:
-            from repro.obs.resources import ResourceSampler
-
-            self.resources = ResourceSampler(
-                paths["resources"],
-                role=self.role,
-                every_s=obs.resource_every_s,
-            ).start()
-        if obs.stack_sample_s is not None:
-            from repro.obs.sample import StackSampler
-
-            self.stacks = StackSampler(
-                interval_s=obs.stack_sample_s,
-                out_path=paths["samples"],
-                role=self.role,
-            ).start()
-        if obs.flight_enabled:
-            from repro.obs.flight import worker_crash_scope
-
-            self._scope = worker_crash_scope(
-                obs.out, self.role, ring=self.ring, resources=self.resources
-            )
-            self._scope.__enter__()
-        return self
-
-    def record(self, kind: str, msg: str = "", value: float = 0.0) -> None:
-        """One flight event into this worker's ring (no-op when off)."""
-        if self.ring is not None:
-            self.ring.record(kind, msg, value)
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        try:
-            # the crash scope first: on an exception it writes the
-            # post-mortem record (with a final resource sample) while
-            # the samplers are still alive
-            if self._scope is not None:
-                self._scope.__exit__(exc_type, exc, tb)
-        finally:
-            if self.stacks is not None:
-                try:
-                    self.stacks.stop()
-                except Exception:  # pragma: no cover
-                    pass
-            if self.resources is not None:
-                try:
-                    self.resources.stop()
-                except Exception:  # pragma: no cover
-                    pass
-        return False
 

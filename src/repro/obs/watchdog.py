@@ -58,9 +58,10 @@ class HeartbeatBoard:
     n_workers:
         Number of workers when the board owns its storage.
     counters / done:
-        Optional externally allocated mutable sequences (the process
-        engine passes fork-shared ``RawArray`` buffers so children's
-        beats are visible to the parent's watchdog).
+        Optional externally allocated mutable sequences
+        (``PartitionedEngine._progress`` passes fork-shared ``RawArray``
+        buffers for the shm engine, so children's beats are visible to
+        the parent's watchdog).
     """
 
     __slots__ = ("counters", "done")

@@ -443,7 +443,7 @@ class PartitionedEngine:
         before the group is terminated.  No-op without flight recording
         or when the worker is already gone."""
         obs = self.obs
-        if obs is None or not obs.flight_enabled or not victim.is_alive():
+        if obs is None or obs.proc.ring is None or not victim.is_alive():
             return
         from repro.obs.flight import flight_paths
 

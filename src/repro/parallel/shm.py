@@ -434,7 +434,7 @@ class ShmBlockPACGA(PartitionedEngine):
                     tracer = ThreadTracer(lead, obs.tracer.epoch)
             # built post-fork, so the flight ring, crash hooks and
             # samplers observe this worker, not the parent
-            scope_cm = nullcontext() if obs is None else obs.process_scope(f"w{lead}")
+            scope_cm = nullcontext() if obs is None else obs.proc.child(f"w{lead}")
             with scope_cm as scope:
 
                 def after_sweep(pubs: int, gens: int) -> None:

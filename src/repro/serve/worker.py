@@ -21,9 +21,10 @@ event, set by the service's SIGTERM handler) interrupts the run at the
 next generation boundary, saves a final checkpoint and reports the job
 ``parked``; a crash simply kills the process — the checkpoint already
 on disk is what the retry resumes from.  The whole loop runs inside
-:class:`~repro.obs.flight.worker_crash_scope`, so an escaping exception
-leaves ``flight/postmortem-w<i>.json`` behind for the service to link
-into the job record (rendered by ``repro obs postmortem``).
+one :class:`~repro.obs.flight.ProcessObs` (flight ring + crash hooks),
+so an escaping exception leaves ``flight/postmortem-w<i>.json`` behind
+for the service to link into the job record (rendered by
+``repro obs postmortem``).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _build_engine(task: dict, instance, ckpt: Path):
     return engine, StopCondition(**spec["budget"]), False
 
 
-def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, ring):
+def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, proc):
     """Execute one job; returns the terminal message for the parent."""
     from repro.runtime.checkpoint import run_with_checkpoints, save_checkpoint
 
@@ -114,12 +115,12 @@ def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, 
     def on_generation(eng, generation, evaluations):
         nonlocal last_sent
         if crash_after is not None and generation >= crash_after:
-            ring.record("inject", f"crash job={job_id[:8]}", float(generation))
+            proc.record("inject", f"crash job={job_id[:8]}", float(generation))
             raise RuntimeError(
                 f"injected worker crash (job {job_id}, generation {generation})"
             )
         if hang_after is not None and generation >= hang_after:
-            ring.record("inject", f"hang job={job_id[:8]}", float(generation))
+            proc.record("inject", f"hang job={job_id[:8]}", float(generation))
             time.sleep(3600.0)
         now = time.monotonic()
         if now - last_sent >= PROGRESS_EVERY_S or generation <= 1:
@@ -139,7 +140,7 @@ def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, 
             raise DrainInterrupt()
 
     engine.hooks.on_generation = on_generation
-    ring.record("job.start", f"{job_id[:8]} {task['spec']['engine']}", task["attempts"])
+    proc.record("job.start", f"{job_id[:8]} {task['spec']['engine']}", task["attempts"])
     t0 = time.monotonic()
     try:
         result = run_with_checkpoints(
@@ -149,7 +150,7 @@ def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, 
         # park at the current boundary: one explicit final snapshot so
         # the resume loses nothing, then hand the job back
         save_checkpoint(engine, ckpt, stop=stop)
-        ring.record("job.parked", job_id[:8])
+        proc.record("job.parked", job_id[:8])
         return {
             "kind": "parked",
             "wid": options["wid"],
@@ -157,7 +158,7 @@ def _run_job(task: dict, instance, spool: Path, result_q, drain_event, options, 
             "checkpoint": str(ckpt),
         }
     elapsed = time.monotonic() - t0
-    ring.record("job.done", job_id[:8], float(result.best_fitness))
+    proc.record("job.done", job_id[:8], float(result.best_fitness))
     return {
         "kind": "done",
         "wid": options["wid"],
@@ -179,25 +180,23 @@ def worker_main(wid: int, spool, task_q, result_q, drain_event, options: dict) -
     ``options``: ``checkpoint_every``, ``fault_injection``,
     ``instance_cache`` (LRU capacity), ``seed_cache`` (LRU capacity).
     """
-    from repro.obs.flight import FlightRecorder, flight_paths, worker_crash_scope
+    from repro.obs.flight import ProcessObs
     from repro.problems import resolve_problem
     from repro.runtime.context import enable_seed_cache, seed_cache_stats
     from repro.serve.cache import LRUCache
 
     spool = Path(spool)
-    role = f"w{wid}"
     options = dict(options, wid=wid)
-    ring = FlightRecorder(flight_paths(spool, role)["ring"])
     instances = LRUCache(options.get("instance_cache", 8))
     enable_seed_cache(options.get("seed_cache", 16))
 
-    with worker_crash_scope(spool, role, ring):
-        ring.record("worker.start", f"pid={os.getpid()}")
+    with ProcessObs(spool, f"w{wid}", flight=True) as proc:
+        proc.record("worker.start", f"pid={os.getpid()}")
         result_q.put({"kind": "ready", "wid": wid, "pid": os.getpid()})
         while True:
             task = task_q.get()
             if task is None:  # shutdown sentinel
-                ring.record("worker.stop")
+                proc.record("worker.stop")
                 break
             try:
                 problem = resolve_problem(task["spec"]["problem"])
@@ -205,14 +204,14 @@ def worker_main(wid: int, spool, task_q, result_q, drain_event, options: dict) -
                     problem, task["spec"]["instance"], spool, instances
                 )
                 message = _run_job(
-                    task, instance, spool, result_q, drain_event, options, ring
+                    task, instance, spool, result_q, drain_event, options, proc
                 )
             except DrainInterrupt:
                 # drain arrived between generations of setup: requeue as-is
                 message = {"kind": "parked", "wid": wid, "job": task["id"], "checkpoint": None}
             except (ValueError, OSError, TypeError) as exc:
                 # deterministic job-level failure: no point retrying
-                ring.record("job.error", f"{type(exc).__name__}"[:36])
+                proc.record("job.error", f"{type(exc).__name__}"[:36])
                 message = {
                     "kind": "error",
                     "wid": wid,
@@ -225,5 +224,5 @@ def worker_main(wid: int, spool, task_q, result_q, drain_event, options: dict) -
             }
             result_q.put(message)
             if drain_event.is_set():
-                ring.record("worker.drain")
+                proc.record("worker.drain")
                 break

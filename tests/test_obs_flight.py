@@ -1,5 +1,6 @@
-"""Flight recorder: mmap ring semantics, crash hooks, stack dumps."""
+"""Flight recorder: mmap ring semantics, the per-process scope, stack dumps."""
 
+import faulthandler
 import json
 import os
 import signal
@@ -7,6 +8,8 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,15 +20,15 @@ from repro.obs.flight import (
     MAGIC,
     SLOT_SIZE,
     FlightRecorder,
+    ProcessObs,
     append_stack_dump,
     dump_stacks,
     flight_paths,
-    install_crash_hooks,
     load_flight_dir,
     read_events,
-    worker_crash_scope,
     write_postmortem,
 )
+from repro.obs import Observer
 
 
 class TestRing:
@@ -211,9 +214,8 @@ class TestPostmortemRecord:
 
 class TestCrashScope:
     def test_exception_writes_postmortem_and_reraises(self, tmp_path):
-        ring = FlightRecorder(flight_paths(tmp_path, "w0")["ring"], slots=8)
         with pytest.raises(RuntimeError, match="kaput"):
-            with worker_crash_scope(tmp_path, "w0", ring=ring):
+            with ProcessObs(tmp_path, "w0", flight=True):
                 raise RuntimeError("kaput")
         record = json.loads(flight_paths(tmp_path, "w0")["postmortem"].read_text())
         assert record["exception"]["type"] == "RuntimeError"
@@ -222,21 +224,32 @@ class TestCrashScope:
         assert "kaput" in events[-1]["msg"]
 
     def test_clean_exit_writes_nothing(self, tmp_path):
-        with worker_crash_scope(tmp_path, "w0"):
+        with ProcessObs(tmp_path, "w0", flight=True):
             pass
         assert not flight_paths(tmp_path, "w0")["postmortem"].exists()
 
     def test_hooks_restored_after_scope(self, tmp_path):
         before = sys.excepthook
-        with worker_crash_scope(tmp_path, "w0"):
+        with ProcessObs(tmp_path, "w0", flight=True):
             assert sys.excepthook is not before
         assert sys.excepthook is before
+
+    def test_child_without_out_is_inert(self):
+        parent = ProcessObs(
+            None, "main", flight=True, resources=True, stack_sample_s=0.005
+        )
+        with parent.child("w0") as child:
+            assert (child.ring, child.resources, child.stacks, child.hooks) == (
+                None,
+                None,
+                None,
+                None,
+            )
 
 
 class TestSigusr1:
     def test_handler_dumps_stacks_and_records_event(self, tmp_path):
-        ring = FlightRecorder(flight_paths(tmp_path, "main")["ring"], slots=8)
-        hooks = install_crash_hooks(tmp_path, "main", ring=ring)
+        proc = ProcessObs(tmp_path, "main", flight=True).start()
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
             stacks = flight_paths(tmp_path, "main")["stacks"]
@@ -245,15 +258,48 @@ class TestSigusr1:
             events = read_events(flight_paths(tmp_path, "main")["ring"])
             assert events[-1]["kind"] == "signal"
         finally:
-            hooks.uninstall()
-            ring.close()
+            proc.close()
 
     def test_uninstall_restores_previous_handler(self, tmp_path):
         previous = signal.getsignal(signal.SIGUSR1)
-        hooks = install_crash_hooks(tmp_path, "main")
+        proc = ProcessObs(tmp_path, "main", flight=True).start()
         assert signal.getsignal(signal.SIGUSR1) is not previous
-        hooks.uninstall()
+        proc.close()
         assert signal.getsignal(signal.SIGUSR1) is previous
+
+
+def _process_state():
+    return {
+        "excepthook": sys.excepthook,
+        "sigusr1": signal.getsignal(signal.SIGUSR1),
+        "sigalrm": signal.getsignal(signal.SIGALRM),
+        "itimer_real": signal.getitimer(signal.ITIMER_REAL),
+        "faulthandler": faulthandler.is_enabled(),
+    }
+
+
+class TestObserverTeardown:
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_finalized_observer_restores_process_state(self, tmp_path, raises):
+        """Every hook, handler, timer and thread the observer's process
+        scope starts is gone after finalize, whether the observed block
+        ends cleanly or raises (which writes no parent post-mortem)."""
+        before = _process_state()
+        obs = Observer(
+            out=tmp_path, flight=True, resources=True, stack_sample_s=0.005
+        )
+        try:
+            with obs:
+                time.sleep(0.02)
+                if raises:
+                    raise RuntimeError("observed block failed")
+        except RuntimeError:
+            assert raises
+        assert _process_state() == before
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("obs-")]
+        assert not flight_paths(tmp_path, "main")["postmortem"].exists()
+        ring = read_events(flight_paths(tmp_path, "main")["ring"])
+        assert ring[-1]["kind"] == "budget.done"
 
 
 def test_event_struct_is_64_bytes():

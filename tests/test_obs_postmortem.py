@@ -222,3 +222,52 @@ class TestInjectedCrashE2E:
         assert meta["resources"]["peak_rss_mb"] > 0
         assert (out / "samples.collapsed").exists()
         assert meta["n_stack_samples"] > 0
+
+    def test_clean_shm_run_bundle_file_set(self, tiny_instance, tmp_path):
+        """The exact artifact set of a clean observed shm(2) run: one
+        ring, crash log, resource stream and sample file per worker
+        process, the parent's resources and samples at the top level."""
+        from repro.parallel import ShmBlockPACGA
+
+        out = tmp_path / "bundle"
+        obs = Observer(
+            out=out,
+            sample_every_evals=10**9,
+            flight=True,
+            resources=True,
+            stack_sample_s=0.005,
+        )
+        eng = ShmBlockPACGA(
+            tiny_instance,
+            CFG.with_(n_threads=2),
+            seed=0,
+            obs=obs,
+            lockstep=False,
+            oversubscribe=True,
+        )
+        with obs:
+            eng.run(StopCondition(max_generations=4))
+
+        assert sorted(p.name for p in out.iterdir()) == [
+            "flight",
+            "grid.jsonl",
+            "meta.json",
+            "metrics.json",
+            "report.md",
+            "resources.jsonl",
+            "samples.collapsed",
+            "timeseries.jsonl",
+            "trace.json",
+        ]
+        assert sorted(p.name for p in (out / "flight").iterdir()) == [
+            "crash-main.log",
+            "crash-w0.log",
+            "crash-w1.log",
+            "main.bin",
+            "resources-w0.jsonl",
+            "resources-w1.jsonl",
+            "samples-w0.collapsed",
+            "samples-w1.collapsed",
+            "w0.bin",
+            "w1.bin",
+        ]

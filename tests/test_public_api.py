@@ -18,6 +18,11 @@ PACKAGES = [
     "repro.dynamic",
     "repro.experiments",
     "repro.util",
+    "repro.obs",
+    "repro.runtime",
+    "repro.serve",
+    "repro.kernels",
+    "repro.problems",
 ]
 
 
