@@ -39,6 +39,7 @@ from repro.runtime.context import (
     detach_runtime,
     finish_run,
 )
+from repro.runtime.registry import check_stop
 
 __all__ = [
     "EvolutionOps",
@@ -333,6 +334,7 @@ class _EngineBase:
         live runtime, snapshots, hooks and checkpoints live here, and
         each generation is the subclass's :meth:`_generation`.
         """
+        check_stop(self.engine_name, stop)
         resume = self._consume_resume()
         history: list[tuple[int, int, float, float]] = (
             resume["history"] if resume else []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import sys
 
 from repro.cli.engines import positive_int
-from repro.cli.solve import print_result
+from repro.cli.solve import print_result, stop_from_args
 
 __all__ = ["register", "HANDLERS"]
 
@@ -55,7 +55,6 @@ def register(sub) -> None:
 
 
 def _cmd_resume(args) -> int:
-    from repro.cga import StopCondition
     from repro.runtime import resume_engine, run_with_checkpoints
 
     instance = None
@@ -65,25 +64,10 @@ def _cmd_resume(args) -> int:
         instance = load_instance(args.instance)
     try:
         engine, stop = resume_engine(args.checkpoint, instance=instance)
+        # --evals/--vtime/--wall replace the embedded stop condition
+        stop = stop_from_args(args, engine.engine_name, stop)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    bounds = {}
-    if args.evals is not None:
-        bounds["max_evaluations"] = args.evals
-    if args.vtime is not None:
-        bounds["virtual_time"] = args.vtime
-    if args.wall is not None:
-        bounds["wall_time_s"] = args.wall
-    if bounds:
-        stop = StopCondition(**bounds)
-    if stop is None:
-        print(
-            "error: the checkpoint records no stop condition; "
-            "pass --evals, --vtime or --wall",
-            file=sys.stderr,
-        )
         return 2
 
     ckpt_path = args.checkpoint_to or (

@@ -7,7 +7,7 @@ import sys
 from repro.cli.engines import alias_epilog, build_config, engine_choices, positive_int
 from repro.cli.obsflags import add_obs_arguments, reject_stray_obs_flags
 
-__all__ = ["register", "HANDLERS", "print_result"]
+__all__ = ["register", "HANDLERS", "print_result", "stop_from_args"]
 
 
 def register(sub) -> None:
@@ -147,6 +147,24 @@ def print_result(args, inst, engine_name, config, result, obs=None) -> None:
         print(f"result written to {args.out}")
 
 
+def stop_from_args(args, engine: str, stop=None):
+    """The run's stop condition: ``--evals``/``--vtime``/``--wall`` when
+    any is given, else ``stop``.  Raises ``ValueError`` when there is
+    none or ``engine`` enforces none of its bounds."""
+    from repro.cga import StopCondition
+    from repro.runtime import check_stop
+
+    given = (("max_evaluations", args.evals), ("virtual_time", args.vtime),
+             ("wall_time_s", args.wall))
+    bounds = {name: value for name, value in given if value is not None}
+    if bounds:
+        stop = StopCondition(**bounds)
+    if stop is None:
+        raise ValueError("no stop condition recorded; pass --evals, --vtime or --wall")
+    check_stop(engine, stop)
+    return stop
+
+
 def _cmd_solve(args) -> int:
     from repro.cga import StopCondition
     from repro.problems import resolve_problem
@@ -160,16 +178,11 @@ def _cmd_solve(args) -> int:
     problem = resolve_problem(args.problem)
     inst = problem.load_instance(args.instance or problem.default_instance)
     config = build_config(args, spec)
-    bounds = {}
-    if args.evals is not None:
-        bounds["max_evaluations"] = args.evals
-    if args.vtime is not None:
-        bounds["virtual_time"] = args.vtime
-    if args.wall is not None:
-        bounds["wall_time_s"] = args.wall
-    if not bounds:
-        bounds["max_evaluations"] = 5000
-    stop = StopCondition(**bounds)
+    try:
+        stop = stop_from_args(args, spec.name, StopCondition(max_evaluations=5000))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     obs = None
     if args.obs_out is not None:

@@ -182,9 +182,13 @@ class Observer:
         t_s: float | None = None,
         force: bool = False,
     ) -> bool:
-        """Tick the time-series sampler (wall clock unless ``t_s`` given)."""
-        t = self.elapsed() if t_s is None else t_s
-        return self.sampler.tick(evaluations, t, provider, force=force)
+        """Tick the time-series sampler on the wall clock, or at the
+        virtual time ``t_s``, which the row also carries as ``virtual_t_s``."""
+        if t_s is None:
+            return self.sampler.tick(evaluations, self.elapsed(), provider, force=force)
+        return self.sampler.tick(
+            evaluations, t_s, lambda: {**provider(), "virtual_t_s": t_s}, force=force
+        )
 
     # -- process observability -------------------------------------------
     def flight_event(self, kind: str, msg: str = "", value: float = 0.0) -> None:

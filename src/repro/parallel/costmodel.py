@@ -24,6 +24,10 @@ Fig. 4 — monotone slowdown for 0 LS iterations, ~flat for 1, positive
 speedup peaking/plateauing at 3 threads for 5 and 10 iterations.  Units
 are microseconds of virtual time; absolute values are irrelevant, only
 ratios matter.
+
+The simulator charges each step through one of the
+:data:`CONTENTION_POLICIES` built on the model: ``meanfield`` or
+``tracked`` (DESIGN.md A7 compares the two).
 """
 
 from __future__ import annotations
@@ -33,7 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostModel", "XEON_E5440"]
+__all__ = [
+    "CostModel",
+    "XEON_E5440",
+    "MeanFieldContention",
+    "TrackedContention",
+    "CONTENTION_POLICIES",
+]
+
+#: µs → s conversion for the virtual clock.
+_US = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,9 +120,7 @@ class CostModel:
         multiplicative lognormal jitter so logical threads do not march
         in lockstep.
         """
-        cost = self.compute_cost(ls_iterations) * self.cache_factor(n_threads) + self.t_lock
-        if crosses_boundary and n_threads > 1:
-            cost += self.t_boundary * math.sqrt(n_threads - 1)
+        cost = self.expected_step_cost(n_threads, ls_iterations, float(crosses_boundary))
         if rng is not None and self.jitter_sigma > 0:
             cost *= float(rng.lognormal(mean=0.0, sigma=self.jitter_sigma))
         return cost
@@ -145,3 +156,108 @@ class CostModel:
 
 #: Default model calibrated against Fig. 4 (see module docstring).
 XEON_E5440 = CostModel()
+
+
+class MeanFieldContention:
+    """``meanfield`` policy: every step costs :meth:`CostModel.step_cost`,
+    whose boundary surcharge stands in for the lock waits (Fig. 4's
+    calibrated model).  Built per run from the model, ``n_threads`` at
+    LS depth ``ls_depth``, the cells' ``crosses`` flags and ``neighbors``,
+    the per-thread jitter streams and, on resume, the checkpoint
+    ``progress`` holding the policy's :meth:`state`."""
+
+    def __init__(self, model, n_threads, ls_depth, crosses, neighbors, jitter_rngs,
+                 progress=None):
+        self.model, self.n_threads, self.ls_depth = model, n_threads, ls_depth
+        self.crosses, self.neighbors, self.jitter_rngs = crosses, neighbors, jitter_rngs
+
+    def charge(self, tid: int, idx: int, clock: float) -> float:
+        """Thread ``tid``'s clock (s) after breeding cell ``idx`` from ``clock``."""
+        cost = self.model.step_cost(
+            self.n_threads, self.ls_depth, bool(self.crosses[idx]), self.jitter_rngs[tid]
+        )
+        return clock + cost * _US
+
+    def state(self) -> dict:
+        """The policy's keys of a checkpoint ``progress``."""
+        return {}
+
+    def extra(self) -> dict:
+        """The policy's ``RunResult.extra`` entries."""
+        return {}
+
+    def flush(self, tid: int, rec) -> None:
+        """Record thread ``tid``'s contention telemetry since its last flush."""
+
+
+class TrackedContention(MeanFieldContention):
+    """``tracked`` policy: lock bookkeeping in virtual time.  Each cell
+    carries the release times of its read and write locks; reads queue
+    behind in-flight writes, the replacement write behind readers and
+    writers, and a boundary step pays a cacheline-transfer charge
+    growing with ``sqrt(n−1)`` (MESI traffic), so contention emerges
+    from the interleaving.  Each wait is one ``lock.conflicts``."""
+
+    def __init__(self, model, n_threads, ls_depth, crosses, neighbors, jitter_rngs,
+                 progress=None):
+        super().__init__(model, n_threads, ls_depth, crosses, neighbors, jitter_rngs)
+        #: uncontended step cost (µs): cache pressure plus lock traffic
+        self.base = model.compute_cost(ls_depth) * model.cache_factor(n_threads) + model.t_lock
+        self.cacheline = model.t_cacheline * math.sqrt(n_threads - 1) * _US
+        progress = progress or {}
+        zeros = np.zeros(len(crosses))
+        self.write_until = np.array(progress.get("write_until", zeros), dtype=np.float64)
+        self.read_until = np.array(progress.get("read_until", zeros), dtype=np.float64)
+        self.conflict_wait_s = float(progress.get("conflict_wait_s", 0.0))
+        self.conflicts = int(progress.get("conflicts", 0))
+        #: per thread: [read wait s, write wait s, conflicts] not yet flushed
+        self._unflushed = [[0.0, 0.0, 0] for _ in range(n_threads)]
+
+    def charge(self, tid: int, idx: int, clock: float) -> float:
+        base = self.base
+        if self.model.jitter_sigma > 0:
+            base *= float(self.jitter_rngs[tid].lognormal(0.0, self.model.jitter_sigma))
+        row, write_until, read_until = self.neighbors[idx], self.write_until, self.read_until
+        # read locks queue behind in-flight writes on the targets
+        read_wait = max(0.0, float((write_until[row] - clock).max()))
+        reads_done = clock + read_wait + self.model.t_read_hold * _US
+        read_until[row] = np.maximum(read_until[row], reads_done)
+        # the replacement write (after the step's computation and, across
+        # blocks, its cacheline transfers) queues behind readers and writers
+        extra = self.cacheline if self.crosses[idx] else 0.0
+        write_start = clock + read_wait + base * _US + extra
+        blocked_until = max(read_until[idx], write_until[idx])
+        write_wait = max(0.0, blocked_until - write_start)
+        if write_wait > 0:
+            write_start = blocked_until
+        for slot, wait in enumerate((read_wait, write_wait)):
+            if wait > 0:
+                self.conflict_wait_s += wait
+                self.conflicts += 1
+                self._unflushed[tid][slot] += wait
+                self._unflushed[tid][2] += 1
+        write_until[idx] = end = write_start + self.model.t_write_hold * _US
+        return end
+
+    def state(self) -> dict:
+        return {
+            "write_until": self.write_until.tolist(),
+            "read_until": self.read_until.tolist(),
+            "conflict_wait_s": self.conflict_wait_s,
+            "conflicts": self.conflicts,
+        }
+
+    def extra(self) -> dict:
+        return {"lock_conflicts": self.conflicts, "conflict_wait_s": self.conflict_wait_s}
+
+    def flush(self, tid: int, rec) -> None:
+        read_wait, write_wait, conflicts = self._unflushed[tid]
+        if conflicts:
+            rec.inc("lock.read_wait_s_total", read_wait)
+            rec.inc("lock.write_wait_s_total", write_wait)
+            rec.inc("lock.conflicts", conflicts)
+            self._unflushed[tid] = [0.0, 0.0, 0]
+
+
+#: the simulator's ``contention=`` choices
+CONTENTION_POLICIES = {"meanfield": MeanFieldContention, "tracked": TrackedContention}

@@ -1,20 +1,22 @@
 """The shared skeleton of the block-partitioned PA-CGA engines.
 
-:class:`~repro.parallel.threads.ThreadedPACGA` and
-:class:`~repro.parallel.shm.ShmBlockPACGA` are one algorithm (the
-paper's Algorithm 2) on two substrates: the grid is split into
+:class:`~repro.parallel.threads.ThreadedPACGA`,
+:class:`~repro.parallel.shm.ShmBlockPACGA` and
+:class:`~repro.parallel.simengine.SimulatedPACGA` are one algorithm (the
+paper's Algorithm 2) on three substrates: the grid is split into
 ``n_threads`` blocks, each driven by its own RNG stream and evaluation
 share.  :class:`PartitionedEngine` owns everything that does not depend
 on the substrate — the checkpoint protocol, the per-worker counters and
-their resume, the result, the per-sweep bookkeeping, the generation
-hook, the deterministic ``lockstep`` loop and the free-running one: a
-worker loop (sweep, then check the budget share) and the parent's
-supervision loop (sampling, generation hook, telemetry merge,
-stall-kill, loud failure).  A subclass supplies one block sweep
+their resume, the result, the end-of-sweep accounting, the generation
+hook and checkpoint cadence, the serialized (``lockstep``) loop and the
+free-running one: a worker loop (sweep, then check the budget share)
+and the parent's supervision loop (sampling, generation hook, telemetry
+merge, stall-kill, loud failure).  A subclass supplies one block sweep
 (``_step_block(tid, rng, rec)``) and how one free-running worker starts
 (``_start_worker``): an OS thread, or a forked process — an engine whose
 workers are processes sets ``_mpctx`` to a fork context, so the
-per-worker counters live in fork-shared arrays.
+per-worker counters live in fork-shared arrays.  The simulator replaces
+the serialized schedule (``_rounds``) with a virtual-clock scheduler.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from repro.cga.hooks import as_hooks
 from repro.obs.watchdog import HeartbeatBoard, Watchdog
 from repro.runtime.budget import Budget
 from repro.runtime.context import attach_runtime, detach_runtime, finish_run
+from repro.runtime.registry import check_stop
 
-__all__ = ["PartitionedEngine", "fire_generations"]
+__all__ = ["PartitionedEngine"]
 
 
-def fire_generations(engine, fired: int, generation: int, evaluations: int) -> int:
+def _fire_generations(engine, fired: int, generation: int, evaluations: int) -> int:
     """Fire ``engine.hooks.on_generation`` for every generation in
     ``(fired, generation]``; returns the new mark.  ``generation`` is the
     slowest worker's sweep count, as in the result's ``generations``."""
@@ -94,6 +97,9 @@ class PartitionedEngine:
         self._gen_counts = [0] * n
         self._resume: dict | None = None
         self._ckpt = None
+        #: per-worker step tallies of the scalar breeding step (threads,
+        #: simulator), built on the worker's first observed sweep
+        self._tallies: dict = {}
 
     # ------------------------------------------------------------------
     # checkpoint protocol (runtime.checkpoint)
@@ -108,12 +114,29 @@ class PartitionedEngine:
             )
         self._ckpt = None if saver is None else (every, saver)
 
+    def _streams(self) -> dict:
+        """The engine's RNG streams by checkpoint ``rng_streams`` key."""
+        return {"workers": self._worker_rngs}
+
+    def _stream_states(self) -> dict:
+        """The ``rng_streams`` of a checkpoint payload."""
+        return {k: [r.bit_generator.state for r in v] for k, v in self._streams().items()}
+
+    def _restore_streams(self, streams: dict) -> None:
+        """Adopt a payload's ``rng_streams``."""
+        for key, rngs in self._streams().items():
+            if len(streams[key]) != len(rngs):
+                raise ValueError(
+                    f"checkpoint has {len(streams[key])} {key!r} streams, "
+                    f"engine has {len(rngs)}"
+                )
+            for rng, state in zip(rngs, streams[key]):
+                rng.bit_generator.state = state
+
     def capture_state(self) -> dict:
         """Per-worker RNG streams plus the cumulative worker counters."""
         return {
-            "rng_streams": {
-                "workers": [r.bit_generator.state for r in self._worker_rngs]
-            },
+            "rng_streams": self._stream_states(),
             "progress": {
                 "eval_counts": list(self._eval_counts),
                 "gen_counts": list(self._gen_counts),
@@ -123,14 +146,7 @@ class PartitionedEngine:
 
     def restore_state(self, payload: dict) -> None:
         """Adopt a :meth:`capture_state` payload; next ``run`` resumes it."""
-        states = payload["rng_streams"]["workers"]
-        if len(states) != len(self._worker_rngs):
-            raise ValueError(
-                f"checkpoint has {len(states)} worker streams, "
-                f"engine has {len(self._worker_rngs)}"
-            )
-        for rng, state in zip(self._worker_rngs, states):
-            rng.bit_generator.state = state
+        self._restore_streams(payload["rng_streams"])
         progress = payload.get("progress")
         if progress and any(progress.get("eval_counts", ())):
             self._resume = {
@@ -144,30 +160,32 @@ class PartitionedEngine:
     def run(self, stop: StopCondition) -> RunResult:
         """Algorithm 2: parallel block evolution until ``stop``.
 
-        Wall-time, generation and evaluation budgets are supported; the
-        evaluation budget is split evenly across workers (each checks
-        its share after a full block sweep, mirroring the paper's
-        "check the time after evolving the whole block"
-        approximation).
+        The bounds the engine's registry spec enforces are supported
+        (``check_stop``); the evaluation budget is split evenly across
+        workers (each checks its share after a full block sweep,
+        mirroring the paper's "check the time after evolving the whole
+        block" approximation).
         """
+        check_stop(self.engine_name, stop)
         resume, self._resume = self._resume, None
         n = self.config.n_threads
         self._eval_counts = list(resume["eval_counts"]) if resume else [0] * n
         self._gen_counts = list(resume["gen_counts"]) if resume else [0] * n
         if self.lockstep:
-            return self._run_lockstep(stop)
+            return self._run_lockstep(stop, resume)
         return self._run_free(stop)
 
-    def _result(self, budget: Budget, **extra) -> RunResult:
+    def _result(self, budget: Budget, history=None, meta=None, **extra) -> RunResult:
         eval_counts, gen_counts = self._eval_counts, self._gen_counts
         best_idx, best_fit = self.pop.best()
+        now = self._virtual_clock()
         result = RunResult(
             best_fitness=best_fit,
             best_assignment=self.pop.s[best_idx].copy(),
             evaluations=sum(eval_counts),
             generations=min(gen_counts) if gen_counts else 0,
-            elapsed_s=budget.elapsed,
-            history=[],
+            elapsed_s=budget.elapsed if now is None else now,
+            history=history or [],
             extra={
                 "per_thread_evaluations": list(eval_counts),
                 "per_thread_generations": list(gen_counts),
@@ -178,8 +196,13 @@ class PartitionedEngine:
         )
         return finish_run(
             self, result, engine_name=self.engine_name,
-            meta={"n_threads": self.config.n_threads},
+            meta={"n_threads": self.config.n_threads, **(meta or {})}, t_s=now,
         )
+
+    def _virtual_clock(self) -> float | None:
+        """The run's virtual time (s), stamping samples and the result's
+        ``elapsed_s``; None on a wall-clock substrate."""
+        return None
 
     # ------------------------------------------------------------------
     # per-worker pieces shared by both loops
@@ -211,49 +234,72 @@ class PartitionedEngine:
         return obs.recorder(tid), obs.thread_tracer(tid, self._worker_name(tid))
 
     def _sweep(self, gid: int, members, rng, progress: _Progress, rec, tracer):
-        """One sweep of unit ``gid``, then its bookkeeping: the counters
-        and heartbeats of its ``members`` (block ids) and, when observed,
-        ``sweep_us`` and a ``sweep`` span.  Returns ``_step_block``'s value."""
+        """One timed sweep of unit ``gid`` over its ``members`` (block
+        ids), then :meth:`_sweep_done`.  Returns ``_step_block``'s value."""
         start = time.perf_counter()
         out = self._step_block(gid, rng, rec)
-        evals, gens, board = progress.evals, progress.gens, progress.board
         for t in members:
-            evals[t] += self.blocks[t].size
+            progress.evals[t] += self.blocks[t].size
+        dur = 0.0 if rec is None else time.perf_counter() - start
+        epoch = 0.0 if tracer is None else tracer.epoch
+        self._sweep_done(members, progress, rec, tracer, start - epoch, dur)
+        return out
+
+    def _sweep_done(self, members, progress: _Progress, rec, tracer, start_s, dur_s):
+        """The accounting of one finished sweep of ``members``: their
+        generation counters and heartbeats and, when observed,
+        ``sweep_us`` and a ``sweep`` span starting ``start_s`` seconds
+        into the trace (wall clock, or the simulator's virtual clock)."""
+        gens, board = progress.gens, progress.board
+        for t in members:
             gens[t] += 1
             board.beat(t)
         if rec is not None:
-            dur = time.perf_counter() - start
-            rec.observe("sweep_us", dur * 1e6)
+            rec.observe("sweep_us", dur_s * 1e6)
             if tracer is not None:
                 args = {"generation": gens[members[0]]}
-                tracer.complete("sweep", start - tracer.epoch, dur, args)
-        return out
+                tracer.complete("sweep", start_s, dur_s, args)
+
+    def _tally(self, tid: int, rec):
+        """Worker ``tid``'s :class:`~repro.obs.dynamics.StepTally` (None
+        unobserved); its 1-in-8 observed steps take ``_tally_locks``."""
+        if rec is not None and tid not in self._tallies:
+            from repro.obs.dynamics import StepTally
+
+            self._tallies[tid] = StepTally(rec, self.ops, self._tally_locks(rec))
+        return self._tallies.get(tid)
+
+    def _tally_locks(self, rec):
+        """The timed lock view observed steps run under (None: no locks)."""
+
+    def _record_steps(self, tid: int, rec, boundary: int, sweeps: int = 1) -> None:
+        """Record worker ``tid``'s tallied steps since the last call:
+        ``sweeps`` finished sweeps, ``boundary`` boundary breeding steps
+        and the tally's ``breeding.*``/``op.*``/``ls.*`` counters."""
+        rec.inc("sweeps", sweeps)
+        rec.inc("boundary_evals", boundary)
+        self._tallies[tid].flush()
 
     def _sample(self, progress: _Progress) -> None:
         """Tick the time-series sampler from the run loop's thread."""
-        obs = self.obs
-        total = sum(progress.evals)
-        if obs.sampler.due(total, obs.elapsed()):
-            obs.maybe_sample(
-                total, lambda: obs.engine_row(self, min(progress.gens), total)
-            )
+        obs, total = self.obs, sum(progress.evals)
+        obs.maybe_sample(
+            total, lambda: obs.engine_row(self, min(progress.gens), total),
+            t_s=self._virtual_clock(),
+        )
 
     # ------------------------------------------------------------------
     # lockstep
     # ------------------------------------------------------------------
-    def _run_lockstep(self, stop: StopCondition) -> RunResult:
-        """Deterministic serialized mode: round-robin block sweeps.
-
-        Workers act in block order, one full block sweep per turn, in
-        the calling thread, so the interleaving (and therefore the run)
-        is a pure function of the seed.  Budget semantics match the
-        free-running mode: per-worker evaluation shares, checked at
-        sweep boundaries.  After each round the generation hook fires,
-        then the checkpoint callback.
+    def _run_lockstep(self, stop: StopCondition, resume: dict | None) -> RunResult:
+        """Deterministic serialized mode: the calling thread drives the
+        workers through :meth:`_rounds`, so the interleaving (and
+        therefore the run) is a pure function of the seed.  After each
+        round the generation hook fires, then, every ``every``-th round,
+        the checkpoint callback.
         """
         n = self.config.n_threads
         budget = Budget(stop)
-        share = budget.eval_share(n)
         progress = self._progress(shared=False)
         evals, gens = progress.evals, progress.gens
         board = attach_runtime(
@@ -267,29 +313,36 @@ class PartitionedEngine:
         budget.start()
         rounds = 0
         try:
-            active = [True] * n
-            while any(active):
-                for tid in range(n):
-                    if not active[tid]:
-                        continue
-                    if budget.worker_exhausted(evals[tid], gens[tid], share):
-                        active[tid] = False
-                        progress.board.mark_done(tid)
-                        continue
-                    rng = self._worker_rngs[tid]
-                    self._sweep(tid, (tid,), rng, progress, *sinks[tid])
+            for more in self._rounds(budget, progress, sinks, resume):
                 rounds += 1
                 if obs is not None:
                     obs.flight_event("sweep", "round", float(rounds))
                     self._sample(progress)
-                fired = fire_generations(self, fired, min(gens), sum(evals))
-                if self._ckpt is not None and rounds % self._ckpt[0] == 0 and any(active):
+                fired = _fire_generations(self, fired, min(gens), sum(evals))
+                if self._ckpt is not None and rounds % self._ckpt[0] == 0 and more:
                     self._ckpt[1](self)
                     if obs is not None:
                         obs.flight_event("checkpoint", value=float(rounds))
         finally:
             detach_runtime(self, board)
         return self._result(budget)
+
+    def _rounds(self, budget: Budget, progress: _Progress, sinks, resume):
+        """Round-robin block sweeps: each active worker sweeps its block
+        once per round, in block order.  Budget semantics match the
+        free-running mode: per-worker evaluation shares, checked at sweep
+        boundaries.  Yields after each round whether a worker is active."""
+        share = budget.eval_share(self.config.n_threads)
+        evals, gens = progress.evals, progress.gens
+        active = [True] * self.config.n_threads
+        while any(active):
+            for tid, rng in enumerate(self._worker_rngs):
+                if active[tid] and budget.worker_exhausted(evals[tid], gens[tid], share):
+                    active[tid] = False
+                    progress.board.mark_done(tid)
+                if active[tid]:
+                    self._sweep(tid, (tid,), rng, progress, *sinks[tid])
+            yield any(active)
 
     # ------------------------------------------------------------------
     # free-running
@@ -385,7 +438,7 @@ class PartitionedEngine:
                     # the population is read while workers mutate it —
                     # a torn read must not kill an otherwise healthy run
                     obs.flight_event("sample.error", repr(exc)[:36])
-            fired = fire_generations(
+            fired = _fire_generations(
                 self, fired, min(progress.gens), sum(progress.evals)
             )
             failed = next(

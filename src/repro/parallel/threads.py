@@ -12,13 +12,13 @@ not wall-clock speedup; use :class:`repro.parallel.shm.ShmBlockPACGA`
 for real parallelism or :class:`repro.parallel.simengine.SimulatedPACGA`
 for the paper's performance model.
 
-Run loops: both live in the partitioned skeleton shared with shm,
+Run loops: both live in the skeleton shared with shm and the simulator,
 :class:`~repro.parallel.partitioned.PartitionedEngine`; this module
-supplies the block sweep and the worker start, an OS thread.
+supplies the block sweep, its timed locks and the worker start.
 
 Observability: pass ``obs=repro.obs.Observer(...)`` and every worker
 gets a private metric recorder (sweeps, sweep latency, boundary
-evaluations) and a private :class:`~repro.obs.dynamics.StepTally`.
+evaluations) and the skeleton's :class:`~repro.obs.dynamics.StepTally`.
 Every breeding step reports into the tally, which records the
 ``breeding.*``/``op.*``/``ls.*`` counters once per sweep.  One step in
 eight is observed in full: its phases are lapped and it takes the
@@ -96,34 +96,24 @@ class ThreadedPACGA(PartitionedEngine):
         )
         super().__init__(instance, ctx, hooks, lockstep)
         self.locks = LockManager(self.grid.size)
-        #: per-worker step tally (with its timed lock view), built on
-        #: the worker's first observed sweep
-        self._obs_views: dict = {}
+
+    def _tally_locks(self, rec) -> TimedLocks:
+        return TimedLocks(self.locks, rec)
 
     def _step_block(self, tid: int, rng, rec=None) -> None:
         """Sweep block ``tid`` once in its fixed line order.
 
         With a recorder ``rec`` every step reports into the worker's
-        step tally (built once per worker), whose 1-in-8 observed steps
-        are lapped and run under the worker's timed locks; the sweep
-        then records itself, its boundary breeding steps and the tally.
+        step tally, whose 1-in-8 observed steps are lapped and run under
+        the worker's timed locks; the sweep then records itself, its
+        boundary breeding steps and the tally.
         """
-        tally = None
-        if rec is not None:
-            tally = self._obs_views.get(tid)
-            if tally is None:
-                from repro.obs.dynamics import StepTally
-
-                tally = self._obs_views[tid] = StepTally(
-                    rec, self.ops, TimedLocks(self.locks, rec)
-                )
+        tally = self._tally(tid, rec)
         pop, neighbors, ops, locks = self.pop, self.neighbors, self.ops, self.locks
         for idx in self.orders[tid]:
             evolve_individual(pop, int(idx), neighbors[idx], ops, rng, locks, tally)
         if tally is not None:
-            rec.inc("sweeps")
-            rec.inc("boundary_evals", self._boundary_per_sweep[tid])
-            tally.flush()
+            self._record_steps(tid, rec, self._boundary_per_sweep[tid])
 
     def _start_worker(self, gid: int, members, loop) -> "_WorkerThread":
         """Start free-running worker ``gid`` as an OS thread; its metrics

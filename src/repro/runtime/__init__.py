@@ -24,8 +24,8 @@ heartbeats, checkpointing) is wired once, not six times:
   attachment and result finalization helpers;
 * :mod:`repro.runtime.registry` — the :class:`EngineSpec` registry,
   the single source of truth for engine names, aliases, constructors
-  and parallelism class (consumed by the CLI, the experiment harnesses
-  and the takeover study);
+  and parallelism class (hence :func:`check_stop`'s enforced bounds),
+  consumed by the CLI, the experiment harnesses and the takeover study;
 * :mod:`repro.runtime.checkpoint` — universal checkpoint/resume
   (format v3): generation/sweep-boundary snapshots with per-stream RNG
   state for every registered engine.
@@ -44,6 +44,7 @@ from repro.runtime.context import (
 from repro.runtime.registry import (
     ENGINE_SPECS,
     EngineSpec,
+    check_stop,
     create_engine,
     engine_aliases,
     engine_names,
@@ -78,6 +79,7 @@ __all__ = [
     "resolve_engine",
     "create_engine",
     "sequential_engines",
+    "check_stop",
     "CHECKPOINT_VERSION",
     "capture_state",
     "restore_state",

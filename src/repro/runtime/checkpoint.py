@@ -284,9 +284,10 @@ def run_with_checkpoints(
 ):
     """Run ``engine`` to ``stop``, checkpointing at sweep boundaries.
 
-    Every ``every_generations`` completed generations (for the threaded
-    engine: lockstep rounds; for the simulator: block-sweep completions)
-    the full state is atomically written to ``path``.  Returns the
+    Every ``every_generations`` completed generations (for the
+    partitioned engines: lockstep rounds, each of which the simulator
+    ends when its slowest logical thread finishes a sweep) the full
+    state is atomically written to ``path``.  Returns the
     :class:`~repro.cga.engine.RunResult`; the file left behind is the
     last boundary snapshot, resumable with :func:`resume_engine`.
     """

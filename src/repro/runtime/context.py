@@ -343,13 +343,12 @@ def finish_run(
     """
     obs = engine.obs
     if obs is not None:
-        def provider() -> dict:
-            row = obs.engine_row(engine, result.generations, result.evaluations)
-            if t_s is not None:
-                row["virtual_t_s"] = t_s
-            return row
-
-        obs.maybe_sample(result.evaluations, provider, t_s=t_s, force=True)
+        obs.maybe_sample(
+            result.evaluations,
+            lambda: obs.engine_row(engine, result.generations, result.evaluations),
+            t_s=t_s,
+            force=True,
+        )
         obs.record_result(result)
         obs.meta.setdefault("engine", engine_name)
         obs.meta.setdefault("instance", getattr(engine.instance, "name", None))

@@ -15,7 +15,7 @@ registry costs nothing and no import cycle forms between
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import import_module
 from typing import Any
 
@@ -28,6 +28,7 @@ __all__ = [
     "resolve_engine",
     "create_engine",
     "sequential_engines",
+    "check_stop",
 ]
 
 
@@ -78,6 +79,13 @@ class EngineSpec:
     threaded: bool = False
     batch: bool = False
     extra_kwargs: tuple[str, ...] = field(default=())
+
+    @property
+    def enforced_bounds(self) -> tuple[str, ...]:
+        """The ``StopCondition`` bounds this engine's run loop checks."""
+        clock = "virtual_time" if self.parallelism == "simulated" else "wall_time_s"
+        target = ("target_fitness",) if self.parallelism == "sequential" else ()
+        return ("max_evaluations", "max_generations", clock, *target)
 
     def load(self) -> type:
         """Import and return the engine class."""
@@ -142,6 +150,15 @@ def resolve_engine(name: str) -> EngineSpec:
 def create_engine(name: str, instance, config=None, seed=None, obs=None, **kwargs):
     """Construct engine ``name`` (see :meth:`EngineSpec.create`)."""
     return resolve_engine(name).create(instance, config, seed=seed, obs=obs, **kwargs)
+
+
+def check_stop(name: str, stop) -> None:
+    """Raise ``ValueError`` when engine ``name`` enforces none of the
+    bounds ``stop`` sets: the run would never end."""
+    bounds = resolve_engine(name).enforced_bounds
+    if all(getattr(stop, bound) is None for bound in bounds):
+        given = ", ".join(f.name for f in fields(stop) if getattr(stop, f.name) is not None)
+        raise ValueError(f"engine {name!r} cannot stop on {given}; set one of {', '.join(bounds)}")
 
 
 def sequential_engines() -> dict[str, type]:

@@ -94,11 +94,12 @@ def validate_job(payload: dict) -> dict:
     messages the CLI prints — unknown problems/engines list the valid
     names, config overrides are validated field-by-field by actually
     constructing the :class:`~repro.cga.config.CGAConfig`, and budgets
-    by constructing the :class:`~repro.cga.config.StopCondition`.
+    by constructing the :class:`~repro.cga.config.StopCondition` and
+    checking that the engine enforces one of its bounds.
     """
     from repro.cga.config import CGAConfig, StopCondition
     from repro.problems import resolve_problem
-    from repro.runtime.registry import resolve_engine
+    from repro.runtime.registry import check_stop, resolve_engine
 
     if not isinstance(payload, dict):
         raise JobValidationError(f"job payload must be an object, got {type(payload).__name__}")
@@ -144,7 +145,7 @@ def validate_job(payload: dict) -> dict:
         valid = ", ".join(f.name for f in fields(StopCondition))
         raise JobValidationError(f"invalid budget bounds: {', '.join(bad)} (valid: {valid})")
     try:
-        StopCondition(**budget)
+        check_stop(spec.name, StopCondition(**budget))
     except (TypeError, ValueError) as exc:
         raise JobValidationError(f"invalid budget: {exc}") from None
 

@@ -141,6 +141,27 @@ class TestSolve:
         b = capsys.readouterr().out
         assert a == b
 
+    def test_bound_the_engine_cannot_enforce_is_an_error(self, monkeypatch, capsys):
+        from repro.runtime.registry import EngineSpec
+
+        create = EngineSpec.create
+
+        def guarded(self, *args, **kwargs):
+            # fail, rather than hang, if the run starts anyway
+            engine = create(self, *args, **kwargs)
+            engine.hooks.on_generation = _hang_guard
+            return engine
+
+        monkeypatch.setattr(EngineSpec, "create", guarded)
+        argv = ["solve", "--engine", "async", "--vtime", "0.05", "--ls-iters", "0"]
+        assert main(argv) == 2
+        assert "virtual_time" in capsys.readouterr().err
+
+
+def _hang_guard(engine, generation, evaluations):
+    if generation >= 3:
+        raise RuntimeError(f"run went past generation {generation}: stop ignored")
+
 
 class TestResume:
     def test_flowshop_resume_with_gantt(self, tmp_path, capsys):
@@ -154,6 +175,14 @@ class TestResume:
         assert f"resumed from  : {ckpt}" in out
         assert "evaluations   : 600" in out
         assert "job order :" in out
+
+    def test_override_bound_the_engine_cannot_enforce_is_an_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "sim.ckpt"
+        solve = ["solve", "--engine", "sim", "--threads", "2", "--evals", "300"]
+        assert main(solve + ["--ls-iters", "0", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["resume", str(ckpt), "--wall", "5"]) == 2
+        assert "wall_time_s" in capsys.readouterr().err
 
 
 class TestObsFlagValidation:

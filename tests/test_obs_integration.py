@@ -188,6 +188,13 @@ class TestShmBundle:
             ),
             "async": lambda obs: AsyncCGA(tiny_instance, CFG, rng=0, obs=obs),
             "sync": lambda obs: SyncCGA(tiny_instance, CFG, rng=0, obs=obs),
+            "sim": lambda obs: SimulatedPACGA(
+                tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs
+            ),
+            "sim tracked": lambda obs: SimulatedPACGA(
+                tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs,
+                contention="tracked",
+            ),
         }
 
         def final_population(make, obs):
@@ -242,6 +249,41 @@ class TestSimulatedBundle:
             "lock.write_wait_s_total", 0.0
         )
         assert waits == pytest.approx(res.extra["conflict_wait_s"])
+
+    @pytest.mark.parametrize("contention", ["meanfield", "tracked"])
+    def test_records_the_counters_threads_records(self, tiny_instance, contention):
+        cfg = CFG.with_(n_threads=3)
+        t_obs = Observer(out=None, sample_every_evals=10**9)
+        ThreadedPACGA(tiny_instance, cfg, seed=0, obs=t_obs, lockstep=True).run(
+            StopCondition(max_generations=3)
+        )
+        names = {
+            name
+            for name in t_obs.registry.merged().counters
+            if name.split(".")[0] in ("breeding", "op", "ls")
+        }
+        assert names
+        obs = Observer(out=None, sample_every_evals=10**9)
+        # 100 evaluations end mid-sweep: cut-short sweeps are recorded too
+        res = SimulatedPACGA(
+            tiny_instance, cfg, seed=0, contention=contention, obs=obs
+        ).run(StopCondition(max_evaluations=100))
+        counters = obs.registry.merged().counters
+        assert names <= set(counters)
+        assert counters["breeding.evaluations"] == res.evaluations == 100
+        assert counters["sweeps"] == sum(res.extra["per_thread_generations"])
+
+    def test_trace_lanes_are_named_like_the_real_workers(self, tiny_instance, tmp_path):
+        obs = Observer(out=tmp_path / "sim", sample_every_evals=10**9)
+        SimulatedPACGA(tiny_instance, CFG.with_(n_threads=2), seed=0, obs=obs).run(
+            StopCondition(max_generations=2)
+        )
+        obs.finalize()
+        trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
+        lanes = {
+            e["args"]["name"] for e in trace["traceEvents"] if e["name"] == "thread_name"
+        }
+        assert {"pacga-sim-w0", "pacga-sim-w1"} <= lanes
 
 
 class TestAutoFinalize:

@@ -138,6 +138,61 @@ def _generations_seen(eng) -> list[int]:
     return seen
 
 
+#: the bounds each engine's run loop does not check
+UNENFORCED = {
+    "async": ("virtual_time",),
+    "sync": ("virtual_time",),
+    "vectorized": ("virtual_time",),
+    "sim": ("wall_time_s", "target_fitness"),
+    "threads": ("virtual_time", "target_fitness"),
+    "shm": ("virtual_time", "target_fitness"),
+}
+#: a value of each such bound that would not stop a short run by itself
+BOUND_VALUES = {"virtual_time": 0.05, "wall_time_s": 3600.0, "target_fitness": 0.0}
+
+
+def _hang_guard(engine, generation, evaluations):
+    """An ``on_generation`` hook failing a run that ignores its stop."""
+    if generation >= 3:
+        raise RuntimeError(f"run went past generation {generation}: stop ignored")
+
+
+class TestUnenforceableStop:
+    def test_table_matches_the_registry(self):
+        for name in ALL_ENGINES:
+            enforced = set(resolve_engine(name).enforced_bounds)
+            assert enforced.isdisjoint(UNENFORCED[name])
+            assert set(BOUND_VALUES) <= enforced | set(UNENFORCED[name])
+
+    @pytest.mark.parametrize(
+        "name,bound", [(n, b) for n, bounds in UNENFORCED.items() for b in bounds]
+    )
+    def test_run_rejects_a_stop_it_cannot_enforce(self, name, bound, small_instance):
+        eng = _make(name, small_instance)
+        eng.hooks.on_generation = _hang_guard
+        with pytest.raises(ValueError, match=bound):
+            eng.run(StopCondition(**{bound: BOUND_VALUES[bound]}))
+
+    def test_one_enforced_bound_is_enough(self, small_instance):
+        eng = _make("threads", small_instance)
+        eng.hooks.on_generation = _hang_guard
+        res = eng.run(StopCondition(target_fitness=0.0, max_generations=2))
+        assert res.generations == 2
+
+
+def test_sim_checkpoints_as_often_as_lockstep_threads(small_instance):
+    """``every_generations`` counts generations on every partitioned
+    engine: the simulator saves when its generation hook fires."""
+    saves = {}
+    for name in ("sim", "threads"):
+        eng = _make(name, small_instance, config=CFG.with_(n_threads=3))
+        calls = []
+        eng.arm_checkpoint(1, calls.append)
+        eng.run(StopCondition(max_generations=4))
+        saves[name] = len(calls)
+    assert saves == {"sim": 4, "threads": 4}
+
+
 class TestResumeContract:
     @pytest.mark.parametrize("name,n", RESUME_CASES)
     def test_mid_run_checkpoint_resumes_bit_exact(

@@ -155,6 +155,16 @@ class TestValidateJob:
         # an empty budget falls back to the service default
         assert validate_job({"budget": {}})["budget"] == {"max_evaluations": 5000}
 
+    def test_budget_the_engine_cannot_enforce_rejected(self):
+        # threads workers never check a target fitness: the job would
+        # never finish
+        with pytest.raises(JobValidationError, match="target_fitness"):
+            validate_job({"engine": "threads", "budget": {"target_fitness": 1.0}})
+        with pytest.raises(JobValidationError, match="virtual_time"):
+            validate_job({"engine": "async", "budget": {"virtual_time": 0.5}})
+        budget = {"target_fitness": 1.0, "max_evaluations": 100}
+        assert validate_job({"engine": "threads", "budget": budget})["budget"] == budget
+
     def test_seed_must_be_nonnegative_int(self):
         for bad in (-1, 1.5, "7", True):
             with pytest.raises(JobValidationError, match="seed"):

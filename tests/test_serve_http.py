@@ -116,6 +116,12 @@ class TestEndpoints:
         assert code == 400
         assert "unknown engine 'island'" in _json(body)["error"]
 
+    def test_unenforceable_budget_is_400(self, unstarted):
+        job = {"engine": "threads", "budget": {"target_fitness": 1.0}}
+        code, _, body = _request(unstarted.base, "POST", "/jobs", job)
+        assert code == 400
+        assert "target_fitness" in _json(body)["error"]
+
     def test_malformed_json_is_400(self, unstarted):
         req = urllib.request.Request(
             unstarted.base + "/jobs", data=b"{not json", method="POST"

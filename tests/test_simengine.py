@@ -1,5 +1,7 @@
 """Tests for the virtual-time discrete-event PA-CGA simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,35 @@ class TestSemantics:
         initial = sim.pop.best()[1]
         res = sim.run(StopCondition(virtual_time=0.01))
         assert res.best_fitness < initial
+
+
+def pop_digest(pop) -> str:
+    """SHA-256 of the population's genomes and fitnesses."""
+    return hashlib.sha256(
+        np.ascontiguousarray(pop.s).tobytes() + np.ascontiguousarray(pop.fitness).tobytes()
+    ).hexdigest()
+
+
+class TestPinnedVirtualTimeRun:
+    """Exact values of a sim(3) run under a ``virtual_time`` stop.
+
+    The goldens pin only ``max_evaluations`` runs; these pin the virtual
+    clocks, the per-thread sweep-boundary stop (thread 0 is just under
+    the budget and breeds one more sweep) and the final population.
+    """
+
+    def test_meanfield(self, small_instance):
+        sim = SimulatedPACGA(small_instance, CFG.with_(n_threads=3), seed=3)
+        res = sim.run(StopCondition(virtual_time=0.006315))
+        assert res.elapsed_s == 0.007864427518473056
+        assert res.evaluations == 156
+        assert res.extra["per_thread_evaluations"] == [60, 48, 48]
+        assert res.extra["per_thread_generations"] == [5, 4, 4]
+        assert res.extra["per_thread_clocks"] == [
+            0.007864427518473056, 0.00631717918153105, 0.0063198160913051265
+        ]
+        assert "lock_conflicts" not in res.extra
+        assert res.best_fitness == 3574879.5604057247
+        assert pop_digest(sim.pop) == (
+            "3456bf198a29e769465471eaa38b410835611de612d3cd69913c857c72977d0d"
+        )

@@ -3,6 +3,7 @@ view that gives the threads engine the same wait/hold accounting."""
 
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ import pytest
 from repro.cga import CGAConfig, StopCondition
 from repro.obs import MetricRecorder
 from repro.parallel import CostModel, LockManager, SimulatedPACGA, TimedLocks
+from repro.runtime.checkpoint import load_state, resume_engine
+from tests.test_simengine import pop_digest
+
+DATA = Path(__file__).parent / "data"
 
 
 CFG = CGAConfig(grid_rows=6, grid_cols=6, ls_iterations=2, seed_with_minmin=False)
@@ -240,3 +245,75 @@ class TestTrackedTiming:
         res = sim.run(StopCondition(max_generations=4))
         assert res.extra["lock_conflicts"] > 0
         assert res.extra["conflict_wait_s"] > 0.0
+
+
+class TestPinnedTrackedRun:
+    """Exact values of tracked sim(3) runs under a ``virtual_time`` stop:
+    clocks, sweep-boundary stops, lock conflicts and their waits."""
+
+    def test_default_model(self, small_instance):
+        sim = SimulatedPACGA(
+            small_instance, CFG.with_(n_threads=3), seed=3, contention="tracked"
+        )
+        res = sim.run(StopCondition(virtual_time=0.005834))
+        assert res.elapsed_s == 0.007287264064358803
+        assert res.extra["per_thread_evaluations"] == [60, 48, 48]
+        assert res.extra["per_thread_clocks"] == [
+            0.007287264064358803, 0.0058350814630578705, 0.005835623530460896
+        ]
+        assert res.extra["lock_conflicts"] == 0
+        assert res.extra["conflict_wait_s"] == 0.0
+        assert pop_digest(sim.pop) == (
+            "3456bf198a29e769465471eaa38b410835611de612d3cd69913c857c72977d0d"
+        )
+
+    def test_sticky_locks(self, small_instance):
+        # long lock holds make every step queue behind another thread
+        sticky = CostModel(t_write_hold=500.0, t_read_hold=200.0)
+        sim = SimulatedPACGA(
+            small_instance, CFG.with_(n_threads=3), seed=3, contention="tracked",
+            cost_model=sticky,
+        )
+        res = sim.run(StopCondition(virtual_time=0.01))
+        assert res.elapsed_s == 0.016800000000000006
+        assert res.extra["per_thread_evaluations"] == [24, 24, 24]
+        assert res.extra["per_thread_clocks"] == [0.016800000000000006] * 3
+        assert res.extra["lock_conflicts"] == 72
+        assert res.extra["conflict_wait_s"] == 0.005920570927378145
+        assert pop_digest(sim.pop) == (
+            "9b486fe1092f35ec256ebd833dec4e35cfe8bc16199955a6a7119c8c1d4cb004"
+        )
+
+
+class TestTrackedCheckpointFixture:
+    """``data/sim_tracked_v3.json``: a format-v3 checkpoint of a tracked
+    sim(2) run (4x4 grid, seed 5, ``virtual_time=0.003``) taken mid-run,
+    with logical thread 1 seven steps into its sweep."""
+
+    def test_payload_shape(self):
+        state = load_state(DATA / "sim_tracked_v3.json")
+        assert state["format_version"] == 3
+        assert set(state["rng_streams"]) == {"gene", "jitter"}
+        assert state["engine_options"] == {"history_stride": 1, "contention": "tracked"}
+        assert state["progress"]["positions"] == [0, 7]
+        assert {"write_until", "read_until", "conflict_wait_s", "conflicts"} <= set(
+            state["progress"]
+        )
+
+    def test_resumes_to_the_uninterrupted_run(self, tiny_instance):
+        engine, stop = resume_engine(DATA / "sim_tracked_v3.json", instance=tiny_instance)
+        assert stop == StopCondition(virtual_time=0.003)
+        res = engine.run(stop)
+        assert res.evaluations == 64
+        assert res.extra["per_thread_evaluations"] == [32, 32]
+        assert res.elapsed_s == 0.0030296450940864453
+        assert res.extra["lock_conflicts"] == 0
+        assert pop_digest(engine.pop) == (
+            "9c5bc08d91f22ab163a707cd2320872aa1da5b4094dfe7e71578948f1e9aa259"
+        )
+        straight = SimulatedPACGA(
+            tiny_instance, CFG.with_(grid_rows=4, grid_cols=4, n_threads=2), seed=5,
+            contention="tracked",
+        )
+        straight.run(stop)
+        assert pop_digest(straight.pop) == pop_digest(engine.pop)
