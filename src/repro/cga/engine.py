@@ -11,11 +11,14 @@ with one thread *is* this algorithm.  :class:`SyncCGA` is the
 synchronous variant (offspring written to an auxiliary population,
 swapped once per generation), used by the async-vs-sync ablation.
 
-Run loop: :meth:`_EngineBase.run` is the one run skeleton of the
-sequential engines (async, sync and the vectorized engine in
-:mod:`repro.cga.vectorized`) — resume, budget, live runtime and
-heartbeat, snapshots, hooks, checkpoints and the result.  Each engine
-supplies only ``_generation(budget)``, one generation of breeding.
+Run loop: every engine runs the one skeleton,
+:meth:`repro.parallel.partitioned.PartitionedEngine.run`.  The
+sequential engines (these two and the vectorized engine in
+:mod:`repro.cga.vectorized`) are partitioned engines with one block —
+the whole grid, in ``config.sweep`` order — and one stream, the
+generator that seeded the population (``engine.rng``), run through the
+skeleton's lockstep loop.  Each supplies only ``_step_block``, one
+generation of breeding.
 """
 
 from __future__ import annotations
@@ -28,18 +31,11 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cga.config import CGAConfig, StopCondition
+from repro.cga.config import CGAConfig
 from repro.cga.crossover import child_with_ct
-from repro.cga.hooks import EngineHooks, as_hooks
+from repro.cga.hooks import EngineHooks
 from repro.cga.population import Population
-from repro.runtime.budget import Budget
-from repro.runtime.context import (
-    attach_runtime,
-    build_context,
-    detach_runtime,
-    finish_run,
-)
-from repro.runtime.registry import check_stop
+from repro.runtime.context import build_context
 
 __all__ = [
     "EvolutionOps",
@@ -210,18 +206,23 @@ class RunResult:
         return problem_of(instance).as_schedule(instance, self.best_assignment)
 
 
-class _EngineBase:
-    """Shared setup and run loop for the sequential engines.
+# imported below the step and the result: the skeleton's package imports
+# both from this module
+from repro.parallel.partitioned import PartitionedEngine  # noqa: E402
 
-    Setup (operator resolution, population init, RNG, observer) is the
-    runtime's :func:`~repro.runtime.context.build_context`; the engine
-    keeps its historical attribute surface (``instance``, ``config``,
-    ``rng``, ``grid``, ``neighbors``, ``ops``, ``sweep``, ``pop``,
-    ``obs``) so callers and subclasses are unaffected.
+
+class _OneBlock(PartitionedEngine):
+    """A sequential engine: one block, one stream, the lockstep loop.
+
+    The block is the whole grid in ``config.sweep`` order and the stream
+    is the generator that seeded the population, readable and assignable
+    as ``rng``.  A generation stops on the exact evaluation cap (the
+    partitioned workers check theirs between sweeps) and records no
+    ``sweep_us``: its telemetry is its breeding's, plus a ``sweep`` span.
+    Each engine supplies ``_step_block(steps, rng, rec)``: one
+    generation making at most ``steps`` evaluations, returning how many
+    it made.  Checkpoints keep the single-stream v3 payload.
     """
-
-    #: canonical registry name (overridden per engine class).
-    engine_name = ""
 
     def __init__(
         self,
@@ -233,50 +234,38 @@ class _EngineBase:
         obs=None,
     ):
         ctx = build_context(instance, config, rng=rng, obs=obs)
-        self.instance = instance
-        self.config = ctx.config
-        self.rng = ctx.rng
+        super().__init__(instance, ctx, hooks, lockstep=True)
         self.record_history = record_history
-        #: lifecycle hooks (``on_generation``, ``on_improvement``,
-        #: ``on_stop``)
-        self.hooks = as_hooks(hooks)
-        self.grid = ctx.grid
-        self.neighbors = ctx.neighbors
-        self.ops = ctx.ops
-        self.sweep = ctx.sweep
-        self.pop = ctx.pop
-        self._best_seen = math.inf
-        self._ckpt: tuple[int, Callable] | None = None
-        self._resume: dict | None = None
-        self.obs = ctx.obs
-        self._obs_hooks: EngineHooks | None = None
-        #: the scalar steps' telemetry, flushed once per generation (the
-        #: vectorized engine records through ``breed`` and leaves it empty)
-        self._tally = None
-        if self.obs is not None:
-            from repro.obs.dynamics import StepTally
 
-            self._tally = StepTally(self.obs.recorder("main"), self.ops)
-            self._obs_hooks = self.obs.engine_hooks()
+    @property
+    def rng(self) -> np.random.Generator:
+        """The one stream: population init, then evolution."""
+        return self._worker_rngs[0]
+
+    @rng.setter
+    def rng(self, rng: np.random.Generator) -> None:
+        self._worker_rngs[0] = rng
+
+    def _sweep(self, gid, members, rng, progress, rec, tracer) -> None:
+        steps, cap = self.pop.size, self._budget.stop.max_evaluations
+        if cap is not None:
+            steps = min(steps, cap - progress.evals[0])
+        start = perf_counter()
+        progress.evals[0] += self._step_block(steps, rng, rec)
+        dur = perf_counter() - start
+        epoch = 0.0 if tracer is None else tracer.epoch
+        self._sweep_done(members, progress, None, tracer, start - epoch, dur)
 
     # -- checkpoint protocol (runtime.checkpoint) ------------------------
-    def arm_checkpoint(self, every: int | None, saver: Callable | None) -> None:
-        """Install (or clear) a generation-boundary checkpoint callback."""
-        self._ckpt = None if saver is None else (every, saver)
-
-    def _maybe_checkpoint(self, generation: int) -> None:
-        if self._ckpt is not None and generation % self._ckpt[0] == 0:
-            self._ckpt[1](self)
-
     def capture_state(self) -> dict:
-        """Engine-specific checkpoint payload (single-stream engines)."""
-        budget = getattr(self, "_budget", None)
+        """The single-stream payload: one RNG state, the run's counters,
+        history and the best fitness ``on_improvement`` has seen."""
         return {
             "rng_streams": {"main": self.rng.bit_generator.state},
             "progress": {
-                "evaluations": budget.evaluations if budget is not None else 0,
-                "generations": budget.generations if budget is not None else 0,
-                "history": [list(row) for row in getattr(self, "_history", [])],
+                "evaluations": self._eval_counts[0],
+                "generations": self._gen_counts[0],
+                "history": [list(row) for row in self._history],
                 "best_seen": None if math.isinf(self._best_seen) else self._best_seen,
             },
         }
@@ -287,108 +276,16 @@ class _EngineBase:
         progress = payload.get("progress")
         if progress and (progress.get("generations") or progress.get("history")):
             self._resume = {
-                "evaluations": int(progress.get("evaluations", 0)),
-                "generations": int(progress.get("generations", 0)),
-                "history": [tuple(row) for row in progress.get("history", [])],
+                "eval_counts": [int(progress.get("evaluations", 0))],
+                "gen_counts": [int(progress.get("generations", 0))],
+                "history": progress.get("history", []),
                 "best_seen": progress.get("best_seen"),
             }
         else:
             self._resume = None
 
-    def _consume_resume(self) -> dict | None:
-        """Pop the pending resume payload and apply its best-seen mark."""
-        resume, self._resume = self._resume, None
-        if resume is not None:
-            best = resume.get("best_seen")
-            self._best_seen = math.inf if best is None else best
-        return resume
 
-    def _snapshot(self, generation: int, evaluations: int, history: list) -> None:
-        hooks, obs_hooks = self.hooks, self._obs_hooks
-        best = None
-        if self.record_history:
-            _, best = self.pop.best()
-            history.append((generation, evaluations, best, self.pop.mean_fitness()))
-        track_best = hooks.on_improvement is not None or obs_hooks is not None
-        if track_best:
-            if best is None:
-                _, best = self.pop.best()
-            if best < self._best_seen:
-                improved = generation > 0  # the initial snapshot only seeds
-                self._best_seen = best
-                if improved:
-                    if hooks.on_improvement is not None:
-                        hooks.on_improvement(self, generation, evaluations, best)
-                    if obs_hooks is not None and obs_hooks.on_improvement is not None:
-                        obs_hooks.on_improvement(self, generation, evaluations, best)
-        if generation > 0:
-            if hooks.on_generation is not None:
-                hooks.on_generation(self, generation, evaluations)
-            if obs_hooks is not None and obs_hooks.on_generation is not None:
-                obs_hooks.on_generation(self, generation, evaluations)
-
-    def run(self, stop: StopCondition) -> RunResult:
-        """Evolve until ``stop`` triggers; returns the run trace.
-
-        The one run loop of the sequential engines: resume, budget,
-        live runtime, snapshots, hooks and checkpoints live here, and
-        each generation is the subclass's :meth:`_generation`.
-        """
-        check_stop(self.engine_name, stop)
-        resume = self._consume_resume()
-        history: list[tuple[int, int, float, float]] = (
-            resume["history"] if resume else []
-        )
-        budget = self._budget = Budget(
-            stop,
-            evaluations=resume["evaluations"] if resume else 0,
-            generations=resume["generations"] if resume else 0,
-        )
-        self._history = history
-        # the engine is its own single "worker": the heartbeat advances
-        # once per generation, so a generation stuck inside one breeding
-        # step (a hung fitness function, a livelocked local search) is
-        # flagged by the watchdog; board is None without live settings
-        board = attach_runtime(
-            self, 1, lambda: (budget.generations, budget.evaluations)
-        )
-        budget.start()
-        try:
-            if resume is None:
-                self._snapshot(0, 0, history)
-            while True:
-                _, best = self.pop.best()
-                if budget.exhausted(best):
-                    break
-                self._generation(budget)
-                if self._tally is not None:
-                    self._tally.flush()
-                generation = budget.next_generation()
-                if board is not None:
-                    board.beat(0)
-                self._snapshot(generation, budget.evaluations, history)
-                self._maybe_checkpoint(generation)
-        finally:
-            detach_runtime(self, board, mark_done=(0,))
-        return self._result(
-            budget.evaluations, budget.generations, budget.elapsed, history
-        )
-
-    def _result(self, evaluations, generations, elapsed, history, **extra) -> RunResult:
-        best_idx, best_fit = self.pop.best()
-        result = RunResult(
-            best_fitness=best_fit,
-            best_assignment=self.pop.s[best_idx].copy(),
-            evaluations=evaluations,
-            generations=generations,
-            elapsed_s=elapsed,
-            history=history,
-            extra=extra,
-        )
-        return finish_run(self, result, engine_name=self.engine_name)
-
-
-class AsyncCGA(_EngineBase):
+class AsyncCGA(_OneBlock):
     """Canonical asynchronous CGA (Algorithm 1) with fixed line sweep.
 
     Offspring replace their cell immediately, so later cells in the same
@@ -398,18 +295,18 @@ class AsyncCGA(_EngineBase):
 
     engine_name = "async"
 
-    def _generation(self, budget: Budget) -> None:
-        """One line sweep, stopping on the exact evaluation cap."""
-        pop, ops, rng, neighbors = self.pop, self.ops, self.rng, self.neighbors
-        tally = self._tally
-        for idx in self.sweep.tolist():
+    def _step_block(self, steps: int, rng, rec=None) -> int:
+        """The first ``steps`` cells of the line sweep."""
+        pop, ops, neighbors = self.pop, self.ops, self.neighbors
+        tally = self._tally(0, rec)
+        for idx in self.orders[0][:steps].tolist():
             evolve_individual(pop, idx, neighbors[idx], ops, rng, tally=tally)
-            budget.spend()
-            if budget.cap_reached():
-                break
+        if tally is not None:
+            tally.flush()
+        return steps
 
 
-class SyncCGA(_EngineBase):
+class SyncCGA(_OneBlock):
     """Synchronous CGA: one auxiliary population per generation.
 
     All offspring are bred against the *previous* generation and the
@@ -419,22 +316,23 @@ class SyncCGA(_EngineBase):
 
     engine_name = "sync"
 
-    def _generation(self, budget: Budget) -> None:
-        """Breed every cell into an auxiliary population, then swap."""
-        pop, ops, rng, neighbors = self.pop, self.ops, self.rng, self.neighbors
+    def _step_block(self, steps: int, rng, rec=None) -> int:
+        """Breed cells ``0..steps-1`` into an auxiliary population, then
+        swap it in."""
+        pop, ops, neighbors = self.pop, self.ops, self.neighbors
         aux = pop.clone()
         # breed against the frozen parent generation (pop), write into
         # aux so no offspring is visible this generation
         view = _SyncView(pop, aux)
-        tally = self._tally
-        for idx in range(pop.size):
+        tally = self._tally(0, rec)
+        for idx in range(steps):
             evolve_individual(view, idx, neighbors[idx], ops, rng, tally=tally)
-            budget.spend()
-            if budget.cap_reached():
-                break
         pop.s[:] = aux.s
         pop.ct[:] = aux.ct
         pop.fitness[:] = aux.fitness
+        if tally is not None:
+            tally.flush()
+        return steps
 
 
 class _SyncView:

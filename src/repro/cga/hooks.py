@@ -7,11 +7,14 @@ a small, mutable protocol object with four slots:
   completed generation, numbered ``1..result.generations`` (never for
   the initial snapshot).  An engine with several workers (threads, shm,
   sim) completes a generation when its slowest worker completes another
-  block sweep; threads and shm fire it from the run's calling thread —
+  block sweep; every engine fires it from the run's calling thread —
   after each lockstep round, before its checkpoint, or from the
   free-running parent's supervision loop;
-* ``on_improvement(engine, generation, evaluations, best)`` — whenever
-  the population best strictly improves between snapshots;
+* ``on_improvement(engine, generation, evaluations, best)`` — on every
+  engine, from the same place, whenever the population best strictly
+  improves on the best seen at the previous round boundary (never for
+  the initial population, nor again for a best a resumed run's
+  checkpoint had already seen);
 * ``on_stop(engine, result)`` — once, with the final
   :class:`~repro.cga.engine.RunResult`, before ``run`` returns;
 * ``on_stall(engine, event)`` — from the observability watchdog, with a
@@ -19,8 +22,9 @@ a small, mutable protocol object with four slots:
   has not advanced within the configured deadline.  Fired from the
   watchdog's monitor thread, never from the stalled worker itself.
 
-The observability layer (:mod:`repro.obs`) attaches through exactly
-this protocol.
+The observability layer (:mod:`repro.obs`) takes no hook of its own:
+the run skeleton samples its time series and counts its
+``improvements``, and its watchdog fires ``on_stall``.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ it is :class:`repro.cga.engine.SyncCGA` — every child is bred against
 the frozen parent generation and the population swaps once per
 generation — but all randomness is drawn in per-generation blocks, so
 a run is statistically (not bitwise) equivalent to the scalar engine
-with the same seed.  The run loop itself is the sequential skeleton
-:meth:`repro.cga.engine._EngineBase.run`; this module supplies only the
-batch generation (``breed``, ``copyto``, ``spend``).
+with the same seed.  Like the scalar engines it is a one-block
+:class:`~repro.parallel.partitioned.PartitionedEngine` run by the
+skeleton's lockstep loop; this module supplies only the batch
+generation (``breed``, then ``copyto``).
 
 Because a generation is a single batch, stop conditions are checked at
 generation granularity: an evaluation budget that is not a multiple of
@@ -25,21 +26,18 @@ to a slow path.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.cga.config import CGAConfig
-from repro.cga.engine import _EngineBase
+from repro.cga.engine import _OneBlock
 from repro.cga.hooks import EngineHooks
 from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
-from repro.runtime.budget import Budget
 
 __all__ = ["VectorizedSyncCGA"]
 
 
-class VectorizedSyncCGA(_EngineBase):
+class VectorizedSyncCGA(_OneBlock):
     """Synchronous CGA over whole-population NumPy kernels.
 
     Accepts the same construction arguments as the scalar engines; the
@@ -61,20 +59,15 @@ class VectorizedSyncCGA(_EngineBase):
     ):
         super().__init__(instance, config, rng, record_history, hooks, obs)
         self._ops = resolve_batch_ops(self.config, problem=self.pop.problem)
-        self._cells = np.arange(self.pop.size)
-        # phase timings and counters are recorded by breed(); both stay
-        # None on the uninstrumented path
-        obs = self.obs
-        self._rec = obs.recorder("main") if obs is not None else None
-        self._tracer = obs.thread_tracer(0, "vectorized") if obs is not None else None
 
-    def _generation(self, budget: Budget) -> None:
-        """Breed the whole population in one batch, then swap it in."""
-        pop, rec, tracer = self.pop, self._rec, self._tracer
-        gen_start = time.perf_counter()
+    def _step_block(self, steps: int, rng, rec=None) -> int:
+        """Breed the whole population in one batch, then swap it in: a
+        generation is never cut, so it overshoots a ``steps`` below the
+        population size.  ``breed`` records the telemetry into ``rec``."""
+        pop = self.pop
         # parents are gathered by fancy indexing, which copies the rows
         child_s, child_ct, child_fit, accept = breed(
-            self._ops, self.config, self.instance, self.rng, self._cells,
+            self._ops, self.config, self.instance, rng, self.blocks[0],
             self.neighbors, pop.fitness,
             lambda ids: (pop.s[ids], pop.ct[ids]),
             lambda ids: pop.s[ids],
@@ -83,11 +76,4 @@ class VectorizedSyncCGA(_EngineBase):
         np.copyto(pop.s, child_s, where=accept[:, None])
         np.copyto(pop.ct, child_ct, where=accept[:, None])
         np.copyto(pop.fitness, child_fit, where=accept)
-        budget.spend(pop.size)
-        if tracer is not None:
-            tracer.complete(
-                "generation",
-                gen_start - self.obs.epoch,
-                time.perf_counter() - gen_start,
-                {"generation": budget.generations + 1},
-            )
+        return pop.size

@@ -16,10 +16,11 @@ writer that serializes all of them into one directory::
       live.json        # latest live snapshot (only with live export on)
       report.md        # rendered human-readable summary
 
-Engines take ``obs=Observer(...)`` and attach through the
-:class:`~repro.cga.hooks.EngineHooks` protocol; with ``obs=None`` no
-collector object is ever constructed and the hot paths run their
-uninstrumented branches.
+Engines take ``obs=Observer(...)``; the one run skeleton
+(:class:`~repro.parallel.partitioned.PartitionedEngine`) hands its
+workers their recorders and trace lanes and samples the time series;
+with ``obs=None`` no collector object is ever constructed and the hot
+paths run their uninstrumented branches.
 
 Live layer (PR 3): ``live=True`` / ``live_port=N`` attach a
 :class:`~repro.obs.live.LivePublisher` (atomic ``live.json`` +
@@ -261,25 +262,6 @@ class Observer:
             self.publisher = None
 
     # -- engine integration ---------------------------------------------
-    def engine_hooks(self):
-        """The :class:`EngineHooks` bundle the sequential engines chain in."""
-        from repro.cga.hooks import EngineHooks
-
-        def on_generation(engine, generation, evaluations):
-            self.maybe_sample(
-                evaluations, lambda: self.engine_row(engine, generation, evaluations)
-            )
-
-        def on_improvement(engine, generation, evaluations, best):
-            self.recorder("main").inc("improvements")
-            tt = self.thread_tracer(0, "main")
-            if tt is not None:
-                tt.instant("improvement", {"best": best, "generation": generation})
-
-        # the run's end (final sample, result, auto-finalize) is
-        # runtime.context.finish_run, shared by every engine
-        return EngineHooks(on_generation, on_improvement)
-
     def engine_row(self, engine, generation: int, evaluations: int) -> dict:
         """One canonical time-series row computed from a live engine."""
         from repro.cga.diversity import allele_entropy
@@ -306,11 +288,11 @@ class Observer:
         first call); returns the emitted row or None when grid
         recording is off or the engine has no 2-D grid.
 
-        Every engine family funnels its time-series sampling through
-        :meth:`engine_row` — the scalar loops per generation, the
-        parallel families from the coordinator thread at evaluation
-        cadence, all of them once more from ``finish_run`` — so this
-        single hook point makes ``grid.jsonl`` engine-uniform.
+        Every engine funnels its time-series sampling through
+        :meth:`engine_row` — from the run skeleton's thread after each
+        lockstep round or supervision poll, at evaluation cadence, and
+        once more from ``finish_run`` — so this single hook point makes
+        ``grid.jsonl`` engine-uniform.
         """
         if not self.grid:
             return None

@@ -1,27 +1,33 @@
-"""The shared skeleton of the block-partitioned PA-CGA engines.
+"""The one run skeleton of every engine.
 
 :class:`~repro.parallel.threads.ThreadedPACGA`,
 :class:`~repro.parallel.shm.ShmBlockPACGA` and
 :class:`~repro.parallel.simengine.SimulatedPACGA` are one algorithm (the
 paper's Algorithm 2) on three substrates: the grid is split into
 ``n_threads`` blocks, each driven by its own RNG stream and evaluation
-share.  :class:`PartitionedEngine` owns everything that does not depend
-on the substrate — the checkpoint protocol, the per-worker counters and
-their resume, the result, the end-of-sweep accounting, the generation
-hook and checkpoint cadence, the serialized (``lockstep``) loop and the
+share.  The sequential engines of :mod:`repro.cga.engine` and
+:mod:`repro.cga.vectorized` are the same algorithm with one block and
+one stream (Algorithm 1).  :class:`PartitionedEngine` owns everything
+that does not depend on the substrate — the checkpoint protocol, the
+per-worker counters and their resume, the history rows, the result,
+the end-of-sweep accounting, the round-boundary bookkeeping (history
+row, ``on_improvement``, generation hook, ``target_fitness`` check) and
+checkpoint cadence, the serialized (``lockstep``) loop and the
 free-running one: a worker loop (sweep, then check the budget share)
-and the parent's supervision loop (sampling, generation hook, telemetry
-merge, stall-kill, loud failure).  A subclass supplies one block sweep
-(``_step_block(tid, rng, rec)``) and how one free-running worker starts
-(``_start_worker``): an OS thread, or a forked process — an engine whose
-workers are processes sets ``_mpctx`` to a fork context, so the
-per-worker counters live in fork-shared arrays.  The simulator replaces
-the serialized schedule (``_rounds``) with a virtual-clock scheduler.
+and the parent's supervision loop (sampling, round-boundary
+bookkeeping, telemetry merge, stall-kill, loud failure).  A subclass
+supplies one block sweep (``_step_block(tid, rng, rec)``) and how one
+free-running worker starts (``_start_worker``): an OS thread, or a
+forked process — an engine whose workers are processes sets ``_mpctx``
+to a fork context, so the per-worker counters live in fork-shared
+arrays.  The simulator replaces the serialized schedule (``_rounds``)
+with a virtual-clock scheduler.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import signal
 import time
@@ -36,17 +42,6 @@ from repro.runtime.context import attach_runtime, detach_runtime, finish_run
 from repro.runtime.registry import check_stop
 
 __all__ = ["PartitionedEngine"]
-
-
-def _fire_generations(engine, fired: int, generation: int, evaluations: int) -> int:
-    """Fire ``engine.hooks.on_generation`` for every generation in
-    ``(fired, generation]``; returns the new mark.  ``generation`` is the
-    slowest worker's sweep count, as in the result's ``generations``."""
-    hook = engine.hooks.on_generation
-    if hook is not None:
-        for g in range(fired + 1, generation + 1):
-            hook(engine, g, evaluations)
-    return max(fired, generation)
 
 
 class _Progress(NamedTuple):
@@ -64,15 +59,18 @@ class _Progress(NamedTuple):
 
 
 class PartitionedEngine:
-    """Checkpoint protocol, counters, result and both run loops of the
-    block-partitioned engines; ``ctx`` is the engine's
-    :class:`~repro.runtime.context.RunContext` (``workers=n_threads``)."""
+    """Checkpoint protocol, counters, history, result and both run loops
+    of every engine; ``ctx`` is the engine's
+    :class:`~repro.runtime.context.RunContext`, one block per worker."""
 
     #: fork context of an engine whose free-running workers are processes
     _mpctx = None
     #: free-running: terminate the workers and raise when a heartbeat
     #: stalls this long (processes only — a thread cannot be killed)
     stall_kill_s: float | None = None
+    #: append a ``(generation, evaluations, best, mean)`` history row at
+    #: run start and after every generation (the sequential engines)
+    record_history = False
 
     def __init__(self, instance, ctx, hooks=None, lockstep: bool = False):
         self.instance = instance
@@ -84,7 +82,7 @@ class PartitionedEngine:
         self.blocks = ctx.blocks
         self.orders = ctx.orders
         self.ops = ctx.ops
-        self._init_rng, self._worker_rngs = ctx.init_rng, ctx.worker_rngs
+        self._worker_rngs = ctx.worker_rngs
         self.pop = ctx.pop
         #: does cell idx's neighborhood leave its own block?
         self.crosses = ctx.crosses
@@ -92,13 +90,20 @@ class PartitionedEngine:
         #: neighborhood leaves the block), recorded as ``boundary_evals``
         self._boundary_per_sweep = [int(self.crosses[b].sum()) for b in self.blocks]
         self.obs = ctx.obs
-        n = self.config.n_threads
+        n = len(self.blocks)
         self._eval_counts = [0] * n
         self._gen_counts = [0] * n
+        #: the latest run's history rows and the best fitness its
+        #: ``on_improvement`` compares against
+        self._history: list = []
+        self._best_seen = math.inf
+        self._improvements = 0
+        self._budget: Budget | None = None
         self._resume: dict | None = None
         self._ckpt = None
-        #: per-worker step tallies of the scalar breeding step (threads,
-        #: simulator), built on the worker's first observed sweep
+        #: per-worker step tallies of the scalar breeding step (async,
+        #: sync, threads, simulator), built on the worker's first
+        #: observed sweep
         self._tallies: dict = {}
 
     # ------------------------------------------------------------------
@@ -164,19 +169,33 @@ class PartitionedEngine:
         (``check_stop``); the evaluation budget is split evenly across
         workers (each checks its share after a full block sweep,
         mirroring the paper's "check the time after evolving the whole
-        block" approximation).
+        block" approximation); ``target_fitness`` is checked at round
+        boundaries.
         """
         check_stop(self.engine_name, stop)
         resume, self._resume = self._resume, None
-        n = self.config.n_threads
+        n = len(self.blocks)
         self._eval_counts = list(resume["eval_counts"]) if resume else [0] * n
         self._gen_counts = list(resume["gen_counts"]) if resume else [0] * n
+        self._history = [tuple(row) for row in (resume or {}).get("history", ())]
+        _, best = self.pop.best()
+        seen = resume.get("best_seen") if resume else None
+        self._best_seen = best if seen is None else seen
+        if resume is None and self.record_history:
+            self._history.append((0, 0, best, self.pop.mean_fitness()))
+        self._improvements = 0
+        self._budget = budget = Budget(stop)
         if self.lockstep:
-            return self._run_lockstep(stop, resume)
-        return self._run_free(stop)
+            return self._run_lockstep(budget, resume)
+        return self._run_free(budget)
 
-    def _result(self, budget: Budget, history=None, meta=None, **extra) -> RunResult:
+    def _result(self, budget: Budget, meta=None, **extra) -> RunResult:
         eval_counts, gen_counts = self._eval_counts, self._gen_counts
+        n = len(self.blocks)
+        if self.obs is not None and self._improvements:
+            # recorded once the workers have quiesced: worker 0's
+            # recorder is written by worker 0 alone while they run
+            self.obs.recorder(0).inc("improvements", self._improvements)
         best_idx, best_fit = self.pop.best()
         now = self._virtual_clock()
         result = RunResult(
@@ -185,19 +204,24 @@ class PartitionedEngine:
             evaluations=sum(eval_counts),
             generations=min(gen_counts) if gen_counts else 0,
             elapsed_s=budget.elapsed if now is None else now,
-            history=history or [],
+            history=self._history,
             extra={
                 "per_thread_evaluations": list(eval_counts),
                 "per_thread_generations": list(gen_counts),
-                "n_threads": self.config.n_threads,
+                "n_threads": n,
                 "lockstep": self.lockstep,
                 **extra,
             },
         )
         return finish_run(
             self, result, engine_name=self.engine_name,
-            meta={"n_threads": self.config.n_threads, **(meta or {})}, t_s=now,
+            meta={"n_threads": n, **(meta or {})}, t_s=now,
         )
+
+    def _detach(self) -> None:
+        """Release what the run holds outside the engine, on success and
+        failure alike: the observer's live runtime."""
+        detach_runtime(self)
 
     def _virtual_clock(self) -> float | None:
         """The run's virtual time (s), stamping samples and the result's
@@ -212,7 +236,7 @@ class PartitionedEngine:
         ``_mpctx``) get fork-shared arrays seeded from the resumed
         counters; otherwise the counters are the engine's own lists, so a
         lockstep checkpoint reads them live."""
-        n = self.config.n_threads
+        n = len(self.blocks)
         mp = self._mpctx if shared else None
         new = mp.RawArray if mp is not None else lambda typecode, init: init
         return _Progress(
@@ -247,18 +271,17 @@ class PartitionedEngine:
 
     def _sweep_done(self, members, progress: _Progress, rec, tracer, start_s, dur_s):
         """The accounting of one finished sweep of ``members``: their
-        generation counters and heartbeats and, when observed,
-        ``sweep_us`` and a ``sweep`` span starting ``start_s`` seconds
-        into the trace (wall clock, or the simulator's virtual clock)."""
+        generation counters and heartbeats, ``sweep_us`` into ``rec`` and
+        a ``sweep`` span on ``tracer`` starting ``start_s`` seconds into
+        the trace (wall clock, or the simulator's virtual clock)."""
         gens, board = progress.gens, progress.board
         for t in members:
             gens[t] += 1
             board.beat(t)
         if rec is not None:
             rec.observe("sweep_us", dur_s * 1e6)
-            if tracer is not None:
-                args = {"generation": gens[members[0]]}
-                tracer.complete("sweep", start_s, dur_s, args)
+        if tracer is not None:
+            tracer.complete("sweep", start_s, dur_s, {"generation": gens[members[0]]})
 
     def _tally(self, tid: int, rec):
         """Worker ``tid``'s :class:`~repro.obs.dynamics.StepTally` (None
@@ -280,6 +303,36 @@ class PartitionedEngine:
         rec.inc("boundary_evals", boundary)
         self._tallies[tid].flush()
 
+    def _boundary(self, progress: _Progress, fired: int) -> int:
+        """Round-boundary bookkeeping, after a lockstep round or a
+        free-running supervision poll: the history row, ``on_improvement``
+        when the population best strictly improved, ``on_generation`` for
+        every generation in ``(fired, generation]`` and the
+        ``target_fitness`` check, which halts the workers.  The
+        generation is the slowest worker's sweep count, as in the
+        result's ``generations``; returns the new mark."""
+        generation, evaluations = min(progress.gens), sum(progress.evals)
+        _, best = self.pop.best()
+        if self.record_history and generation > fired:
+            row = (generation, evaluations, best, self.pop.mean_fitness())
+            self._history.append(row)
+        if best < self._best_seen:
+            self._best_seen = best
+            self._improvements += 1
+            if self.hooks.on_improvement is not None:
+                self.hooks.on_improvement(self, generation, evaluations, best)
+        if self.hooks.on_generation is not None:
+            for g in range(fired + 1, generation + 1):
+                self.hooks.on_generation(self, g, evaluations)
+        self._check_target(progress, best)
+        return max(fired, generation)
+
+    def _check_target(self, progress: _Progress, best: float) -> None:
+        """Halt the workers once ``best`` meets the run's target."""
+        target = self._budget.stop.target_fitness
+        if target is not None and best <= target:
+            progress.halt[0] = 1
+
     def _sample(self, progress: _Progress) -> None:
         """Tick the time-series sampler from the run loop's thread."""
         obs, total = self.obs, sum(progress.evals)
@@ -291,25 +344,23 @@ class PartitionedEngine:
     # ------------------------------------------------------------------
     # lockstep
     # ------------------------------------------------------------------
-    def _run_lockstep(self, stop: StopCondition, resume: dict | None) -> RunResult:
+    def _run_lockstep(self, budget: Budget, resume: dict | None) -> RunResult:
         """Deterministic serialized mode: the calling thread drives the
         workers through :meth:`_rounds`, so the interleaving (and
         therefore the run) is a pure function of the seed.  After each
-        round the generation hook fires, then, every ``every``-th round,
-        the checkpoint callback.
+        round comes the round-boundary bookkeeping, then, every
+        ``every``-th round, the checkpoint callback.
         """
-        n = self.config.n_threads
-        budget = Budget(stop)
+        n = len(self.blocks)
         progress = self._progress(shared=False)
         evals, gens = progress.evals, progress.gens
-        board = attach_runtime(
-            self, n, lambda: (min(gens), sum(evals)), board=progress.board
-        )
+        attach_runtime(self, progress.board, lambda: (min(gens), sum(evals)))
         obs = self.obs
         # lockstep runs in one thread, so every worker's metrics land
         # directly in the parent registry
         sinks = [self._sinks(tid) for tid in range(n)]
         fired = min(gens)
+        self._check_target(progress, self.pop.best()[1])
         budget.start()
         rounds = 0
         try:
@@ -318,26 +369,29 @@ class PartitionedEngine:
                 if obs is not None:
                     obs.flight_event("sweep", "round", float(rounds))
                     self._sample(progress)
-                fired = _fire_generations(self, fired, min(gens), sum(evals))
+                fired = self._boundary(progress, fired)
                 if self._ckpt is not None and rounds % self._ckpt[0] == 0 and more:
                     self._ckpt[1](self)
                     if obs is not None:
                         obs.flight_event("checkpoint", value=float(rounds))
         finally:
-            detach_runtime(self, board)
+            self._detach()
         return self._result(budget)
 
     def _rounds(self, budget: Budget, progress: _Progress, sinks, resume):
         """Round-robin block sweeps: each active worker sweeps its block
         once per round, in block order.  Budget semantics match the
         free-running mode: per-worker evaluation shares, checked at sweep
-        boundaries.  Yields after each round whether a worker is active."""
-        share = budget.eval_share(self.config.n_threads)
-        evals, gens = progress.evals, progress.gens
-        active = [True] * self.config.n_threads
+        boundaries, and the halt flag.  Yields after each round whether a
+        worker is active."""
+        share = budget.eval_share(len(self.blocks))
+        evals, gens, halt = progress.evals, progress.gens, progress.halt
+        active = [True] * len(self.blocks)
         while any(active):
             for tid, rng in enumerate(self._worker_rngs):
-                if active[tid] and budget.worker_exhausted(evals[tid], gens[tid], share):
+                if active[tid] and (
+                    halt[0] or budget.worker_exhausted(evals[tid], gens[tid], share)
+                ):
                     active[tid] = False
                     progress.board.mark_done(tid)
                 if active[tid]:
@@ -350,7 +404,7 @@ class PartitionedEngine:
     def _worker_groups(self) -> list[list[int]]:
         """The free-running workers as groups of block ids; a group is
         one worker breeding one sweep unit (default: a block each)."""
-        return [[t] for t in range(self.config.n_threads)]
+        return [[t] for t in range(len(self.blocks))]
 
     def _worker_loop(
         self, gid: int, members, budget: Budget, share, progress: _Progress,
@@ -375,17 +429,14 @@ class PartitionedEngine:
             progress.telemetry.put((members[0], rec.snapshot(), events))
         return gens[members[0]]
 
-    def _run_free(self, stop: StopCondition) -> RunResult:
+    def _run_free(self, budget: Budget) -> RunResult:
         """Free-running workers (the paper's concurrent execution)."""
-        n = self.config.n_threads
-        budget = Budget(stop)
+        n = len(self.blocks)
         share = budget.eval_share(n)
         groups = self._worker_groups()
         progress = self._progress(shared=True)
         evals, gens = progress.evals, progress.gens
-        board = attach_runtime(
-            self, n, lambda: (min(gens), sum(evals)), board=progress.board
-        )
+        attach_runtime(self, progress.board, lambda: (min(gens), sum(evals)))
         killer = None
         if self.stall_kill_s is not None:
             killer = Watchdog(progress.board, deadline_s=self.stall_kill_s)
@@ -393,6 +444,7 @@ class PartitionedEngine:
         # read before any worker starts: a fast one may finish sweeps
         # before the parent reaches its supervision loop
         fired = min(gens)
+        self._check_target(progress, self.pop.best()[1])
         budget.start()
         try:
             for gid, members in enumerate(groups):
@@ -412,7 +464,7 @@ class PartitionedEngine:
         finally:
             # final live.json publish happens after the workers'
             # recorders have quiesced, so live counts == bundle counts
-            detach_runtime(self, board)
+            self._detach()
         self._eval_counts = [int(e) for e in evals]
         self._gen_counts = [int(g) for g in gens]
         return self._result(budget)
@@ -422,10 +474,10 @@ class PartitionedEngine:
     ) -> None:
         """The parent's loop until every worker has exited: merge forked
         workers' telemetry (while they run — a finishing worker blocks in
-        ``put`` once its payload outgrows the pipe), sample, fire the
-        generation hook for every generation past ``fired``, and fail on
-        a dead or (stall-kill) stalled worker; the caller then stops the
-        rest."""
+        ``put`` once its payload outgrows the pipe), sample, do the
+        round-boundary bookkeeping for the generations past ``fired``
+        (a met target halts the workers), and fail on a dead or
+        (stall-kill) stalled worker; the caller then stops the rest."""
         obs = self.obs
         while True:
             alive = [w for w in workers if w.is_alive()]
@@ -438,9 +490,7 @@ class PartitionedEngine:
                     # the population is read while workers mutate it —
                     # a torn read must not kill an otherwise healthy run
                     obs.flight_event("sample.error", repr(exc)[:36])
-            fired = _fire_generations(
-                self, fired, min(progress.gens), sum(progress.evals)
-            )
+            fired = self._boundary(progress, fired)
             failed = next(
                 (g for g, w in enumerate(workers) if w.exitcode not in (None, 0)), None
             )

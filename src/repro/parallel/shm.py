@@ -40,7 +40,7 @@ breeds from.
 Shared-memory lifecycle
 -----------------------
 Segments are created named (visible in ``/dev/shm``) at construction
-and unlinked in ``run()``'s ``finally`` — on normal exit, on any
+and unlinked in the run loop's ``finally`` — on normal exit, on any
 exception, and after a stall-kill — plus a ``weakref.finalize``
 backstop for engines that are never run.  Unlinking removes the name
 only; the mappings stay valid in the parent and every forked child, so
@@ -100,7 +100,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.cga.config import CGAConfig, StopCondition
+from repro.cga.config import CGAConfig
 from repro.cga.engine import RunResult
 from repro.kernels import resolve_batch_ops
 from repro.kernels.breed import breed
@@ -277,7 +277,6 @@ class ShmBlockPACGA(PartitionedEngine):
         #: breed the group units :meth:`_worker_groups` builds instead
         self._units = self._sweep_units([[t] for t in range(cfg.n_threads)])
         self._boundary_cells = int(self._units[0].shared.sum())
-        self._n_procs = 0
         self._finalizer = weakref.finalize(self, self._arena.unlink)
 
     # ------------------------------------------------------------------
@@ -376,17 +375,15 @@ class ShmBlockPACGA(PartitionedEngine):
         return pubs
 
     # ------------------------------------------------------------------
-    def run(self, stop: StopCondition) -> RunResult:
-        """Evolve all blocks until ``stop``; unlink the segments after."""
-        self._n_procs = 0  # reported only by free-running runs
-        try:
-            return super().run(stop)
-        finally:
-            self._arena.unlink()
+    def _detach(self) -> None:
+        """Also unlink the segment names; the mappings survive for the
+        next ``run``."""
+        super()._detach()
+        self._arena.unlink()
 
     def _result(self, budget: Budget) -> RunResult:
         extra = {"boundary_cells": self._boundary_cells}
-        if self._n_procs:
+        if not self.lockstep:  # only free-running runs fork
             extra["worker_processes"] = self._n_procs
         return super()._result(budget, **extra)
 

@@ -26,6 +26,7 @@ Fidelity notes (matching §3.2/§4.2):
 from __future__ import annotations
 
 import heapq
+from dataclasses import asdict
 
 from repro.cga.config import CGAConfig
 from repro.cga.engine import RunResult, evolve_individual
@@ -55,7 +56,8 @@ class SimulatedPACGA(PartitionedEngine):
         thread (genetics, cost jitter) so changing the cost model never
         perturbs the genetic stream.
     cost_model:
-        Virtual platform (default: the calibrated Xeon E5440 model).
+        Virtual platform (default: the calibrated Xeon E5440 model), or
+        its fields as a mapping (how a checkpoint records it).
     history_stride:
         Record a history row every this many block completions
         (1 = every completion; raise it for long runs).
@@ -80,7 +82,7 @@ class SimulatedPACGA(PartitionedEngine):
         instance,
         config: CGAConfig | None = None,
         seed: int | None = 0,
-        cost_model: CostModel = XEON_E5440,
+        cost_model: CostModel | dict = XEON_E5440,
         history_stride: int = 1,
         contention: str = "meanfield",
         obs=None,
@@ -96,14 +98,15 @@ class SimulatedPACGA(PartitionedEngine):
         # the virtual schedule is serialized and deterministic: lockstep
         super().__init__(instance, ctx, lockstep=True)
         self.contention = contention
-        self.cost_model = cost_model
+        self.cost_model = (
+            CostModel(**cost_model) if isinstance(cost_model, dict) else cost_model
+        )
         self.history_stride = history_stride
         self.boundary_fraction = ctx.boundary_fraction
         self._jitter_rngs = ctx.jitter_rngs
         #: the latest run's scheduler state (None before the first run):
-        #: per-thread clocks and sweep positions, history rows, policy
+        #: per-thread clocks and sweep positions, policy
         self._clocks = self._positions = self._policy = None
-        self._history = []
 
     # ------------------------------------------------------------------
     # checkpoint protocol (runtime.checkpoint)
@@ -131,6 +134,7 @@ class SimulatedPACGA(PartitionedEngine):
             "engine_options": {
                 "history_stride": self.history_stride,
                 "contention": self.contention,
+                "cost_model": asdict(self.cost_model),
             },
         }
 
@@ -164,7 +168,9 @@ class SimulatedPACGA(PartitionedEngine):
         ``virtual_time`` bounds every thread's clock and
         ``max_generations`` its sweep count, both checked at sweep
         boundaries; ``max_evaluations`` caps the total exactly.  A
-        thread that meets a bound leaves the schedule.
+        thread that meets a bound, or finds the run halted, leaves the
+        schedule.  History rows go to the skeleton's list, one every
+        ``history_stride`` block completions.
         """
         cfg, stop = self.config, budget.stop
         n = cfg.n_threads
@@ -175,18 +181,17 @@ class SimulatedPACGA(PartitionedEngine):
             self.cost_model, n, ls_depth, self.crosses, self.neighbors,
             self._jitter_rngs, resume,
         )
-        pop = self.pop
+        pop, history = self.pop, self._history
         if resume is None:
             clocks, positions = [0.0] * n, [0] * n
             _, best = pop.best()
-            history = [(0.0, 0, best, pop.mean_fitness())]
+            history.append((0.0, 0, best, pop.mean_fitness()))
         else:
             clocks = [float(c) for c in resume["clocks"]]
             positions = [int(p) for p in resume["positions"]]
-            history = [tuple(row) for row in resume["history"]]
-        self._clocks, self._positions, self._history = clocks, positions, history
+        self._clocks, self._positions = clocks, positions
 
-        evals, gens = progress.evals, progress.gens
+        evals, gens, halt = progress.evals, progress.gens, progress.halt
         neighbors, ops, rngs = self.neighbors, self.ops, self._worker_rngs
         tallies = [self._tally(tid, rec) for tid, (rec, _) in enumerate(sinks)]
         # the position each thread's tally began at, and its sweep's start
@@ -203,7 +208,7 @@ class SimulatedPACGA(PartitionedEngine):
                 (vt is not None and clock >= vt)
                 or (max_gen is not None and gens[tid] >= max_gen)
             )
-            if swept or (cap is not None and total >= cap):
+            if halt[0] or swept or (cap is not None and total >= cap):
                 progress.board.mark_done(tid)
                 continue
             if pos == 0:
@@ -249,7 +254,6 @@ class SimulatedPACGA(PartitionedEngine):
         clocks = self._clocks
         return super()._result(
             budget,
-            history=self._history,
             meta={"contention": self.contention},
             per_thread_clocks=list(clocks),
             boundary_fraction=self.boundary_fraction,

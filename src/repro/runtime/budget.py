@@ -1,32 +1,21 @@
-"""Budget: the single stop-accounting object shared by every engine.
+"""Budget: the stop accounting of one run, shared by every engine.
 
-Each engine used to keep its own ``evaluations``/``generations``
-integers next to hand-rolled ``stop.done(...)`` and
-``max_evaluations`` over-shoot checks; :class:`Budget` owns those
-counters and the two canonical checks:
+Every engine runs the partitioned skeleton
+(:class:`~repro.parallel.partitioned.PartitionedEngine`), so the
+evaluation budget is split into per-worker shares (:meth:`eval_share`)
+and every worker runs :meth:`worker_exhausted` on its private counters
+after each block sweep — workers cannot share a Python counter without
+defeating the point of running in parallel.  A sequential engine is one
+worker whose share is the whole budget; its sweep stops on the exact
+evaluation cap instead of overshooting it.
 
-* :meth:`exhausted` — the *sweep-boundary* check (any configured bound
-  reached), evaluated between sweeps/generations exactly like the
-  paper's "check the time after evolving the whole block";
-* :meth:`cap_reached` — the cheap *mid-sweep* evaluation-cap guard the
-  sequential engines use to stop on the exact evaluation, not the next
-  boundary.
-
-For the partitioned engines (threads/shm) the evaluation budget
-is split into per-worker shares (:meth:`eval_share`) and every worker
-runs :meth:`worker_exhausted` on its private counters after each block
-sweep — workers cannot share a Python counter without defeating the
-point of running in parallel, so the shared :class:`Budget` only ever
-aggregates their final counts.
-
-A budget can be *resumed*: constructing it with nonzero ``evaluations``
-/ ``generations`` (from a checkpoint) makes every bound count the whole
-logical run, not just the continuation.
+The counters a worker checks are cumulative: a resumed run seeds them
+from its checkpoint, so every bound counts the whole logical run, not
+just the continuation.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 from repro.cga.config import StopCondition
@@ -35,19 +24,12 @@ __all__ = ["Budget"]
 
 
 class Budget:
-    """Mutable evaluation/generation/time accounting for one run."""
+    """The stop condition and wall clock of one run."""
 
-    __slots__ = ("stop", "evaluations", "generations", "_cap", "_t0")
+    __slots__ = ("stop", "_cap", "_t0")
 
-    def __init__(
-        self,
-        stop: StopCondition,
-        evaluations: int = 0,
-        generations: int = 0,
-    ):
+    def __init__(self, stop: StopCondition):
         self.stop = stop
-        self.evaluations = evaluations
-        self.generations = generations
         self._cap = stop.max_evaluations
         self._t0 = time.perf_counter()
 
@@ -61,33 +43,6 @@ class Budget:
         """Wall seconds since :meth:`start` (or construction)."""
         return time.perf_counter() - self._t0
 
-    # -- accounting ------------------------------------------------------
-    def spend(self, evaluations: int = 1) -> None:
-        """Charge ``evaluations`` breeding steps to the budget."""
-        self.evaluations += evaluations
-
-    def next_generation(self) -> int:
-        """Mark a completed generation; returns the new count."""
-        self.generations += 1
-        return self.generations
-
-    # -- checks ----------------------------------------------------------
-    def exhausted(
-        self, best_fitness: float = math.inf, elapsed: float | None = None
-    ) -> bool:
-        """Sweep-boundary check: has any configured bound been reached?"""
-        return self.stop.done(
-            self.evaluations,
-            self.generations,
-            self.elapsed if elapsed is None else elapsed,
-            best_fitness,
-        )
-
-    def cap_reached(self) -> bool:
-        """Mid-sweep check: is the evaluation cap spent exactly?"""
-        return self._cap is not None and self.evaluations >= self._cap
-
-    # -- partitioned engines ---------------------------------------------
     def eval_share(self, n_workers: int) -> int | None:
         """Per-worker slice of the evaluation budget (None = unbounded).
 

@@ -12,8 +12,8 @@ building a context, not by copying twenty lines of constructor code.
 The RNG topologies are exactly the ones the engines always used, so a
 refactored engine replays bit-identical streams:
 
-* single-stream (async/sync/vectorized): one generator drives both
-  population init and evolution;
+* single-stream (async/sync/vectorized): one block (the whole grid)
+  and one generator, which drives both population init and evolution;
 * ``workers=n`` (threads/shm): ``spawn_rngs(seed, n + 1)`` —
   stream 0 initializes the population, streams 1..n drive the workers;
 * ``workers=n, jitter=True`` (simulated): ``spawn_rngs(seed, 1+2n)`` —
@@ -114,9 +114,9 @@ def _seed_schedules_for(pop: Population, instance, config: CGAConfig):
 class RunContext:
     """Everything an engine's ``run`` loop needs, set up once.
 
-    ``sweep`` is populated for single-stream engines, ``blocks`` /
-    ``orders`` / ``crosses`` for partitioned ones; the RNG fields
-    mirror the three stream topologies (see module docstring).
+    ``blocks`` / ``orders`` / ``worker_rngs`` hold one entry per worker
+    (a single-stream context has one); the RNG fields mirror the three
+    stream topologies (see module docstring).
     """
 
     instance: object
@@ -126,14 +126,9 @@ class RunContext:
     ops: object
     pop: Population
     obs: object | None = None
-    #: single-stream engines: the one generator (init + evolution)
-    rng: np.random.Generator | None = None
-    #: whole-grid sweep order (single-stream engines)
-    sweep: np.ndarray | None = None
-    #: partitioned engines: per-worker blocks, sweep orders and streams
+    #: per-worker blocks, sweep orders and streams
     blocks: list[np.ndarray] = field(default_factory=list)
     orders: list[np.ndarray] = field(default_factory=list)
-    init_rng: np.random.Generator | None = None
     worker_rngs: list[np.random.Generator] = field(default_factory=list)
     jitter_rngs: list[np.random.Generator] = field(default_factory=list)
     #: per-cell flag: does the neighborhood leave its own block?
@@ -217,7 +212,8 @@ def build_context(
 ) -> RunContext:
     """Set up one engine run (see module docstring for the modes).
 
-    ``workers=0`` builds a single-stream context from ``rng``;
+    ``workers=0`` builds a single-stream context from ``rng``: one
+    block covering the grid, bred by the generator that seeded it;
     ``workers=n`` builds a partitioned context from the ``seed`` tree.
     The observer is resolved *after* population init so the initial
     evaluations stay out of the breeding-phase metrics.
@@ -245,21 +241,20 @@ def build_context(
         pop=None,  # type: ignore[arg-type]  (assigned below)
     )
     if workers == 0:
-        ctx.rng = make_rng(rng)
-        ctx.sweep = sweep_order(np.arange(grid.size), config.sweep, block_id=0)
-        init_rng = ctx.rng
+        ctx.blocks = [np.arange(grid.size)]
+        ctx.worker_rngs = [make_rng(rng)]
+        init_rng = ctx.worker_rngs[0]
     else:
         ctx.blocks = grid.partition_scheme(workers, config.partition)
-        ctx.orders = [
-            sweep_order(block, config.sweep, block_id=i)
-            for i, block in enumerate(ctx.blocks)
-        ]
-        ctx.crosses = boundary_crossings(neighbors, ctx.blocks, grid.size)
         streams = spawn_rngs(seed, 1 + workers * (2 if jitter else 1))
-        ctx.init_rng = streams[0]
+        init_rng = streams[0]
         ctx.worker_rngs = streams[1 : 1 + workers]
         ctx.jitter_rngs = streams[1 + workers :]
-        init_rng = ctx.init_rng
+    ctx.orders = [
+        sweep_order(block, config.sweep, block_id=i)
+        for i, block in enumerate(ctx.blocks)
+    ]
+    ctx.crosses = boundary_crossings(neighbors, ctx.blocks, grid.size)
     ctx.pop = init_population(
         instance, grid, config, init_rng, ops.fitness, arrays=pop_arrays
     )
@@ -270,28 +265,18 @@ def build_context(
 # ---------------------------------------------------------------------------
 # live runtime (heartbeat board + watchdog + publisher)
 # ---------------------------------------------------------------------------
-def attach_runtime(
-    engine,
-    n_workers: int,
-    counts: Callable[[], tuple[int, int]],
-    board=None,
-):
+def attach_runtime(engine, board, counts: Callable[[], tuple[int, int]]) -> None:
     """Attach the observer's live publisher/watchdog for one run.
 
-    ``counts`` is a lock-free provider of ``(generation, evaluations)``
-    progress; ``board`` is the workers' heartbeat board when the engine
-    keeps its own (the partitioned engines: for forked workers it is
-    backed by fork-shared RawArrays).  Returns the board, or None when
-    the observer requests no runtime attachment (the run loop then stays
+    ``board`` is the workers' heartbeat board (for forked workers it is
+    backed by fork-shared RawArrays); ``counts`` is a lock-free provider
+    of ``(generation, evaluations)`` progress.  A no-op when the
+    observer requests no runtime attachment (the run loop then stays
     untouched).
     """
     obs = engine.obs
     if obs is None or not obs.runtime_wanted:
-        return None
-    if board is None:
-        from repro.obs.watchdog import HeartbeatBoard
-
-        board = HeartbeatBoard(n_workers)
+        return
 
     def progress() -> dict:
         # lock-free snapshot, approximate by design (same rule as the
@@ -311,14 +296,10 @@ def attach_runtime(
             engine.hooks.on_stall(engine, event)
 
     obs.start_runtime(board, progress, on_stall=fire_stall)
-    return board
 
 
-def detach_runtime(engine, board, mark_done: Sequence[int] = ()) -> None:
-    """Stop the watchdog/publisher; ``mark_done`` exempts workers first."""
-    if board is not None:
-        for tid in mark_done:
-            board.mark_done(tid)
+def detach_runtime(engine) -> None:
+    """Stop the watchdog/publisher."""
     if engine.obs is not None:
         engine.obs.stop_runtime()
 

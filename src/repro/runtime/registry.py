@@ -84,8 +84,7 @@ class EngineSpec:
     def enforced_bounds(self) -> tuple[str, ...]:
         """The ``StopCondition`` bounds this engine's run loop checks."""
         clock = "virtual_time" if self.parallelism == "simulated" else "wall_time_s"
-        target = ("target_fitness",) if self.parallelism == "sequential" else ()
-        return ("max_evaluations", "max_generations", clock, *target)
+        return ("max_evaluations", "max_generations", clock, "target_fitness")
 
     def load(self) -> type:
         """Import and return the engine class."""

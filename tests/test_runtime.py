@@ -11,33 +11,6 @@ CFG = CGAConfig(grid_rows=4, grid_cols=4, ls_iterations=1, seed_with_minmin=Fals
 
 
 class TestBudget:
-    def test_spend_and_generations(self):
-        b = Budget(StopCondition(max_evaluations=10))
-        b.spend()
-        b.spend(4)
-        assert b.evaluations == 5
-        assert b.next_generation() == 1
-        assert b.generations == 1
-
-    def test_cap_reached_needs_eval_bound(self):
-        assert not Budget(StopCondition(max_generations=3)).cap_reached()
-        b = Budget(StopCondition(max_evaluations=2))
-        assert not b.cap_reached()
-        b.spend(2)
-        assert b.cap_reached()
-
-    def test_exhausted_on_generations(self):
-        b = Budget(StopCondition(max_generations=2))
-        assert not b.exhausted()
-        b.next_generation()
-        b.next_generation()
-        assert b.exhausted()
-
-    def test_resumed_counters_count_the_whole_run(self):
-        b = Budget(StopCondition(max_evaluations=100), evaluations=100, generations=7)
-        assert b.cap_reached()
-        assert b.exhausted()
-
     def test_eval_share(self):
         assert Budget(StopCondition(max_generations=1)).eval_share(4) is None
         assert Budget(StopCondition(max_evaluations=100)).eval_share(3) == 33
@@ -62,9 +35,13 @@ class TestBudget:
 class TestBuildContext:
     def test_single_stream_context(self, tiny_instance):
         ctx = build_context(tiny_instance, CFG, rng=3)
-        assert isinstance(ctx.rng, np.random.Generator)
-        assert sorted(ctx.sweep.tolist()) == list(range(16))
-        assert ctx.blocks == []
+        # one block covering the grid, one stream
+        assert len(ctx.worker_rngs) == 1
+        assert isinstance(ctx.worker_rngs[0], np.random.Generator)
+        assert [b.tolist() for b in ctx.blocks] == [list(range(16))]
+        assert len(ctx.orders) == 1
+        assert sorted(ctx.orders[0].tolist()) == list(range(16))
+        assert not ctx.crosses.any()
         assert ctx.boundary_fraction == 0.0
         assert ctx.pop.s.shape == (16, tiny_instance.ntasks)
 
@@ -92,7 +69,7 @@ class TestBuildContext:
         a = build_context(tiny_instance, CFG, rng=7)
         b = build_context(tiny_instance, CFG, rng=7)
         assert np.array_equal(a.pop.s, b.pop.s)
-        assert a.rng.random() == b.rng.random()
+        assert a.worker_rngs[0].random() == b.worker_rngs[0].random()
 
     def test_minmin_seeded_population(self, tiny_instance):
         ctx = build_context(tiny_instance, CFG.with_(seed_with_minmin=True), rng=0)

@@ -49,10 +49,9 @@ RESUME_CASES = [
     ("shm", 4),
 ]
 
-#: engines with a wall-clock run loop (threads and shm in lockstep).
-#: sim is left out: it runs in virtual time, so a wall-clock heartbeat
-#: deadline says nothing about its progress.
-LIVE_CASES = ["async", "sync", "vectorized", "threads", "shm"]
+#: every engine attaches the live runtime (threads and shm in lockstep;
+#: the sim's heartbeats advance with its virtual-time sweeps)
+LIVE_CASES = ALL_ENGINES
 
 
 def _make(name, instance, seed=3, config=CFG, **extras):
@@ -143,9 +142,9 @@ UNENFORCED = {
     "async": ("virtual_time",),
     "sync": ("virtual_time",),
     "vectorized": ("virtual_time",),
-    "sim": ("wall_time_s", "target_fitness"),
-    "threads": ("virtual_time", "target_fitness"),
-    "shm": ("virtual_time", "target_fitness"),
+    "sim": ("wall_time_s",),
+    "threads": ("virtual_time",),
+    "shm": ("virtual_time",),
 }
 #: a value of each such bound that would not stop a short run by itself
 BOUND_VALUES = {"virtual_time": 0.05, "wall_time_s": 3600.0, "target_fitness": 0.0}
@@ -180,17 +179,75 @@ class TestUnenforceableStop:
         assert res.generations == 2
 
 
+def _bests_by_generation(eng, generations: int) -> list[float]:
+    """The population best before the run and after each generation."""
+    bests = [eng.pop.best()[1]]
+    eng.hooks.on_generation = lambda e, g, ev: bests.append(e.pop.best()[1])
+    eng.run(StopCondition(max_generations=generations))
+    return bests
+
+
+class TestTargetFitness:
+    """``target_fitness`` is checked at every round boundary of every
+    engine, mixed with other bounds or alone."""
+
+    @pytest.mark.parametrize("name", ALL_ENGINES)
+    def test_stops_at_the_first_boundary_meeting_the_target(self, name, small_instance):
+        bests = _bests_by_generation(_make(name, small_instance), 6)
+        # a target first met after a few generations of improvement
+        target = bests[3]
+        first = next(g for g, best in enumerate(bests) if best <= target)
+        assert first > 0
+        res = _make(name, small_instance).run(
+            StopCondition(max_generations=6, target_fitness=target)
+        )
+        assert res.generations == first
+        assert res.best_fitness <= target
+
+    @pytest.mark.parametrize("name", ALL_ENGINES)
+    def test_target_met_before_the_first_generation(self, name, small_instance):
+        eng = _make(name, small_instance)
+        res = eng.run(StopCondition(max_generations=5, target_fitness=eng.pop.best()[1]))
+        assert (res.generations, res.evaluations) == (0, 0)
+
+    @pytest.mark.parametrize("name", ["threads", "shm"])
+    def test_free_running_workers_halt(self, name, small_instance):
+        eng = _make(name, small_instance, lockstep=False)
+        target = eng.pop.best()[1] * (1 - 1e-9)  # any strict improvement
+        res = eng.run(StopCondition(max_generations=2000, target_fitness=target))
+        assert res.best_fitness <= target
+        assert res.generations < 2000
+
+
+@pytest.mark.parametrize("name", ALL_ENGINES)
+def test_on_improvement_fires_on_every_engine(name, small_instance):
+    """Each strict improvement of the population best fires
+    ``on_improvement`` once, never for the initial population, and the
+    observer counts the same improvements."""
+    obs = Observer(out=None)
+    eng = _make(name, small_instance, obs=obs)
+    seen = []
+    eng.hooks.on_improvement = lambda e, g, ev, best: seen.append((g, best))
+    res = eng.run(StopCondition(max_generations=6))
+    assert seen and all(1 <= g <= res.generations for g, _ in seen)
+    bests = [best for _, best in seen]
+    assert bests == sorted(bests, reverse=True) and len(set(bests)) == len(bests)
+    assert bests[-1] == res.best_fitness
+    assert obs.registry.merged().counters["improvements"] == len(seen)
+
+
 def test_sim_checkpoints_as_often_as_lockstep_threads(small_instance):
-    """``every_generations`` counts generations on every partitioned
-    engine: the simulator saves when its generation hook fires."""
+    """``every_generations`` counts generations on every engine: the
+    simulator saves when its generation hook fires, a sequential engine
+    after each generation."""
     saves = {}
-    for name in ("sim", "threads"):
+    for name in ALL_ENGINES:
         eng = _make(name, small_instance, config=CFG.with_(n_threads=3))
         calls = []
         eng.arm_checkpoint(1, calls.append)
         eng.run(StopCondition(max_generations=4))
         saves[name] = len(calls)
-    assert saves == {"sim": 4, "threads": 4}
+    assert saves == dict.fromkeys(ALL_ENGINES, 4)
 
 
 class TestResumeContract:

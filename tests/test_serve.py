@@ -156,13 +156,18 @@ class TestValidateJob:
         assert validate_job({"budget": {}})["budget"] == {"max_evaluations": 5000}
 
     def test_budget_the_engine_cannot_enforce_rejected(self):
-        # threads workers never check a target fitness: the job would
-        # never finish
-        with pytest.raises(JobValidationError, match="target_fitness"):
-            validate_job({"engine": "threads", "budget": {"target_fitness": 1.0}})
+        # only the simulator keeps a virtual clock, and it ignores the
+        # wall clock: either job would never finish
+        with pytest.raises(JobValidationError, match="virtual_time"):
+            validate_job({"engine": "threads", "budget": {"virtual_time": 0.5}})
         with pytest.raises(JobValidationError, match="virtual_time"):
             validate_job({"engine": "async", "budget": {"virtual_time": 0.5}})
-        budget = {"target_fitness": 1.0, "max_evaluations": 100}
+        with pytest.raises(JobValidationError, match="wall_time_s"):
+            validate_job({"engine": "sim", "budget": {"wall_time_s": 5.0}})
+        budget = {"virtual_time": 0.5, "max_evaluations": 100}
+        assert validate_job({"engine": "threads", "budget": budget})["budget"] == budget
+        # every engine checks a target fitness
+        budget = {"target_fitness": 1.0}
         assert validate_job({"engine": "threads", "budget": budget})["budget"] == budget
 
     def test_seed_must_be_nonnegative_int(self):

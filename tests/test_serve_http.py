@@ -117,10 +117,10 @@ class TestEndpoints:
         assert "unknown engine 'island'" in _json(body)["error"]
 
     def test_unenforceable_budget_is_400(self, unstarted):
-        job = {"engine": "threads", "budget": {"target_fitness": 1.0}}
+        job = {"engine": "threads", "budget": {"virtual_time": 0.5}}
         code, _, body = _request(unstarted.base, "POST", "/jobs", job)
         assert code == 400
-        assert "target_fitness" in _json(body)["error"]
+        assert "virtual_time" in _json(body)["error"]
 
     def test_malformed_json_is_400(self, unstarted):
         req = urllib.request.Request(

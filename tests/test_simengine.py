@@ -178,3 +178,43 @@ class TestPinnedVirtualTimeRun:
         assert pop_digest(sim.pop) == (
             "3456bf198a29e769465471eaa38b410835611de612d3cd69913c857c72977d0d"
         )
+
+
+class TestCostModelCheckpoint:
+    """A checkpoint records the simulator's cost model, so a resumed run
+    charges the same virtual durations as the run it continues."""
+
+    def test_resume_keeps_a_custom_cost_model(self, small_instance):
+        from repro.runtime import capture_state, resume_engine
+
+        model = CostModel(t_breed=30.0)
+        stop = StopCondition(virtual_time=0.02)
+        straight = SimulatedPACGA(
+            small_instance, CFG.with_(n_threads=3), seed=1, cost_model=model
+        )
+        snap = {}
+
+        def keep_first(engine):
+            if not snap:
+                snap.update(capture_state(engine, stop=stop))
+
+        straight.arm_checkpoint(2, keep_first)
+        res = straight.run(stop)
+        resumed, embedded = resume_engine(snap, instance=small_instance)
+        assert resumed.cost_model == model
+        again = resumed.run(embedded)
+        assert again.evaluations == res.evaluations
+        assert again.elapsed_s == res.elapsed_s
+        assert pop_digest(resumed.pop) == pop_digest(straight.pop)
+
+    def test_checkpoint_without_a_cost_model_resumes_with_the_default(
+        self, small_instance
+    ):
+        from repro.parallel import XEON_E5440
+        from repro.runtime import capture_state, resume_engine
+
+        sim = SimulatedPACGA(small_instance, CFG.with_(n_threads=3), seed=1)
+        state = capture_state(sim, stop=StopCondition(virtual_time=0.02))
+        del state["engine_options"]["cost_model"]
+        resumed, _ = resume_engine(state, instance=small_instance)
+        assert resumed.cost_model == XEON_E5440
