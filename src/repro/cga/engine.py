@@ -17,13 +17,13 @@ sequential engines (these two and the vectorized engine in
 :mod:`repro.cga.vectorized`) are partitioned engines with one block —
 the whole grid, in ``config.sweep`` order — and one stream, the
 generator that seeded the population (``engine.rng``), run through the
-skeleton's lockstep loop.  Each supplies only ``_step_block``, one
-generation of breeding.
+skeleton's lockstep loop, and checkpointed by the skeleton's
+``capture_state``/``restore_state``.  Each supplies only
+``_step_block``, one generation of breeding.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -221,7 +221,8 @@ class _OneBlock(PartitionedEngine):
     ``sweep_us``: its telemetry is its breeding's, plus a ``sweep`` span.
     Each engine supplies ``_step_block(steps, rng, rec)``: one
     generation making at most ``steps`` evaluations, returning how many
-    it made.  Checkpoints keep the single-stream v3 payload.
+    it made.  Checkpoints are the skeleton's payload, with one stream
+    and one counter per list.
     """
 
     def __init__(
@@ -255,34 +256,6 @@ class _OneBlock(PartitionedEngine):
         dur = perf_counter() - start
         epoch = 0.0 if tracer is None else tracer.epoch
         self._sweep_done(members, progress, None, tracer, start - epoch, dur)
-
-    # -- checkpoint protocol (runtime.checkpoint) ------------------------
-    def capture_state(self) -> dict:
-        """The single-stream payload: one RNG state, the run's counters,
-        history and the best fitness ``on_improvement`` has seen."""
-        return {
-            "rng_streams": {"main": self.rng.bit_generator.state},
-            "progress": {
-                "evaluations": self._eval_counts[0],
-                "generations": self._gen_counts[0],
-                "history": [list(row) for row in self._history],
-                "best_seen": None if math.isinf(self._best_seen) else self._best_seen,
-            },
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Adopt a :meth:`capture_state` payload; next ``run`` resumes it."""
-        self.rng.bit_generator.state = payload["rng_streams"]["main"]
-        progress = payload.get("progress")
-        if progress and (progress.get("generations") or progress.get("history")):
-            self._resume = {
-                "eval_counts": [int(progress.get("evaluations", 0))],
-                "gen_counts": [int(progress.get("generations", 0))],
-                "history": progress.get("history", []),
-                "best_seen": progress.get("best_seen"),
-            }
-        else:
-            self._resume = None
 
 
 class AsyncCGA(_OneBlock):

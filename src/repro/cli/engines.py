@@ -57,7 +57,7 @@ def build_config(args, spec):
 
     return CGAConfig(
         problem=getattr(args, "problem", "independent"),
-        n_threads=args.threads if spec.threaded else 1,
+        n_threads=args.threads if spec.parallelism != "sequential" else 1,
         crossover=args.crossover,
         fitness=args.fitness,
         ls_iterations=args.ls_iters,

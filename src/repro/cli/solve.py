@@ -189,7 +189,7 @@ def _cmd_solve(args) -> int:
         obs = _build_observer(args, inst, spec.name)
 
     extras = {}
-    if args.checkpoint is not None and spec.name in ("threads", "shm"):
+    if args.checkpoint is not None and "lockstep" in spec.extra_kwargs:
         # free-running workers are schedule-dependent; only the lockstep
         # schedule quiesces at sweep boundaries
         extras["lockstep"] = True

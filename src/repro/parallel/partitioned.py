@@ -8,8 +8,10 @@ paper's Algorithm 2) on three substrates: the grid is split into
 share.  The sequential engines of :mod:`repro.cga.engine` and
 :mod:`repro.cga.vectorized` are the same algorithm with one block and
 one stream (Algorithm 1).  :class:`PartitionedEngine` owns everything
-that does not depend on the substrate — the checkpoint protocol, the
-per-worker counters and their resume, the history rows, the result,
+that does not depend on the substrate — the checkpoint protocol and its
+one payload (every engine's RNG streams, per-worker counters, history
+rows, ``on_improvement``'s best and registry options), the per-worker
+counters and their resume, the history rows, the result,
 the end-of-sweep accounting, the round-boundary bookkeeping (history
 row, ``on_improvement``, generation hook, ``target_fitness`` check) and
 checkpoint cadence, the serialized (``lockstep``) loop and the
@@ -21,7 +23,8 @@ free-running worker starts (``_start_worker``): an OS thread, or a
 forked process — an engine whose workers are processes sets ``_mpctx``
 to a fork context, so the per-worker counters live in fork-shared
 arrays.  The simulator replaces the serialized schedule (``_rounds``)
-with a virtual-clock scheduler.
+with a virtual-clock scheduler, whose state it adds to the checkpoint
+payload (``_schedule_state``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 import os
 import signal
 import time
+from dataclasses import asdict, is_dataclass
 from typing import NamedTuple, Sequence
 
 from repro.cga.config import StopCondition
@@ -39,7 +43,7 @@ from repro.cga.hooks import as_hooks
 from repro.obs.watchdog import HeartbeatBoard, Watchdog
 from repro.runtime.budget import Budget
 from repro.runtime.context import attach_runtime, detach_runtime, finish_run
-from repro.runtime.registry import check_stop
+from repro.runtime.registry import check_stop, resolve_engine
 
 __all__ = ["PartitionedEngine"]
 
@@ -123,12 +127,39 @@ class PartitionedEngine:
         """The engine's RNG streams by checkpoint ``rng_streams`` key."""
         return {"workers": self._worker_rngs}
 
-    def _stream_states(self) -> dict:
-        """The ``rng_streams`` of a checkpoint payload."""
-        return {k: [r.bit_generator.state for r in v] for k, v in self._streams().items()}
+    def _schedule_state(self) -> dict:
+        """The serialized schedule's own ``progress`` keys (the
+        simulator's scheduler state); the round-robin one has none."""
+        return {}
 
-    def _restore_streams(self, streams: dict) -> None:
-        """Adopt a payload's ``rng_streams``."""
+    def capture_state(self) -> dict:
+        """The one checkpoint payload of every engine: the RNG streams,
+        the run's counters, history and the best fitness
+        ``on_improvement`` has seen (plus :meth:`_schedule_state`), and
+        the values of the registry spec's ``extra_kwargs``."""
+        spec = resolve_engine(self.engine_name)
+        options = {k: getattr(self, k) for k in spec.extra_kwargs}
+        return {
+            "rng_streams": {
+                key: [r.bit_generator.state for r in rngs]
+                for key, rngs in self._streams().items()
+            },
+            "progress": {
+                "eval_counts": list(self._eval_counts),
+                "gen_counts": list(self._gen_counts),
+                "history": [list(row) for row in self._history],
+                "best_seen": None if math.isinf(self._best_seen) else self._best_seen,
+                **self._schedule_state(),
+            },
+            "engine_options": {
+                k: asdict(v) if is_dataclass(v) else v for k, v in options.items()
+            },
+        }
+
+    def restore_state(self, payload: dict) -> None:
+        """Adopt a :meth:`capture_state` payload; the next ``run``
+        resumes it once it holds a started run."""
+        streams = payload["rng_streams"]
         for key, rngs in self._streams().items():
             if len(streams[key]) != len(rngs):
                 raise ValueError(
@@ -137,29 +168,9 @@ class PartitionedEngine:
                 )
             for rng, state in zip(rngs, streams[key]):
                 rng.bit_generator.state = state
-
-    def capture_state(self) -> dict:
-        """Per-worker RNG streams plus the cumulative worker counters."""
-        return {
-            "rng_streams": self._stream_states(),
-            "progress": {
-                "eval_counts": list(self._eval_counts),
-                "gen_counts": list(self._gen_counts),
-            },
-            "engine_options": {"lockstep": self.lockstep},
-        }
-
-    def restore_state(self, payload: dict) -> None:
-        """Adopt a :meth:`capture_state` payload; next ``run`` resumes it."""
-        self._restore_streams(payload["rng_streams"])
         progress = payload.get("progress")
-        if progress and any(progress.get("eval_counts", ())):
-            self._resume = {
-                "eval_counts": [int(e) for e in progress["eval_counts"]],
-                "gen_counts": [int(g) for g in progress["gen_counts"]],
-            }
-        else:
-            self._resume = None
+        started = progress and (any(progress["eval_counts"]) or progress["history"])
+        self._resume = progress if started else None
 
     # ------------------------------------------------------------------
     def run(self, stop: StopCondition) -> RunResult:
@@ -177,9 +188,9 @@ class PartitionedEngine:
         n = len(self.blocks)
         self._eval_counts = list(resume["eval_counts"]) if resume else [0] * n
         self._gen_counts = list(resume["gen_counts"]) if resume else [0] * n
-        self._history = [tuple(row) for row in (resume or {}).get("history", ())]
+        self._history = [tuple(row) for row in resume["history"]] if resume else []
         _, best = self.pop.best()
-        seen = resume.get("best_seen") if resume else None
+        seen = resume["best_seen"] if resume else None
         self._best_seen = best if seen is None else seen
         if resume is None and self.record_history:
             self._history.append((0, 0, best, self.pop.mean_fitness()))

@@ -10,7 +10,9 @@ seed — yet the interleaving of block updates, the cross-boundary
 information flow and the time-budgeted evaluation counts behave like
 the paper's real threads.  Everything else (counters, end-of-sweep
 accounting with virtual-clock spans, step tallies, generation hook,
-checkpoint cadence, result) is the skeleton's.
+checkpoint cadence and payload, result) is the skeleton's; the
+scheduler only adds its clocks, positions and policy state to the
+payload's ``progress``.
 
 Fidelity notes (matching §3.2/§4.2):
 
@@ -26,7 +28,6 @@ Fidelity notes (matching §3.2/§4.2):
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict
 
 from repro.cga.config import CGAConfig
 from repro.cga.engine import RunResult, evolve_individual
@@ -73,6 +74,9 @@ class SimulatedPACGA(PartitionedEngine):
         a recorder, a step tally and a trace lane whose spans carry
         *virtual* clocks; ``tracked`` lock waits land in the
         ``lock.*_wait_s_total`` counters.
+    hooks:
+        Optional :class:`~repro.cga.hooks.EngineHooks`, fired from the
+        scheduler's thread at its round boundaries.
     """
 
     engine_name = "sim"
@@ -86,6 +90,7 @@ class SimulatedPACGA(PartitionedEngine):
         history_stride: int = 1,
         contention: str = "meanfield",
         obs=None,
+        hooks=None,
     ):
         if history_stride < 1:
             raise ValueError(f"history_stride must be >= 1, got {history_stride}")
@@ -96,7 +101,7 @@ class SimulatedPACGA(PartitionedEngine):
         workers = (config or CGAConfig()).n_threads
         ctx = build_context(instance, config, seed=seed, workers=workers, jitter=True, obs=obs)
         # the virtual schedule is serialized and deterministic: lockstep
-        super().__init__(instance, ctx, lockstep=True)
+        super().__init__(instance, ctx, hooks, lockstep=True)
         self.contention = contention
         self.cost_model = (
             CostModel(**cost_model) if isinstance(cost_model, dict) else cost_model
@@ -108,53 +113,21 @@ class SimulatedPACGA(PartitionedEngine):
         #: per-thread clocks and sweep positions, policy
         self._clocks = self._positions = self._policy = None
 
-    # ------------------------------------------------------------------
-    # checkpoint protocol (runtime.checkpoint)
-    # ------------------------------------------------------------------
-    def capture_state(self) -> dict:
-        """RNG streams plus, once a run started, the whole discrete-event
-        state (clocks re-zero at every fresh ``run``): per-thread clocks,
-        sweep positions, counters, history and the policy's state."""
-        clocks, gens, evals = self._clocks, self._gen_counts, self._eval_counts
-        progress = None if clocks is None else {
-            "contention": self.contention,
-            "clocks": list(clocks),
-            "positions": list(self._positions),
-            "gens": list(gens),
-            "evals": list(evals),
-            "completions": sum(gens),
-            "total_evals": sum(evals),
-            "heap": [[c, tid] for tid, c in enumerate(clocks)],
-            "history": [list(row) for row in self._history],
-            **self._policy.state(),
-        }
-        return {
-            "rng_streams": self._stream_states(),
-            "progress": progress,
-            "engine_options": {
-                "history_stride": self.history_stride,
-                "contention": self.contention,
-                "cost_model": asdict(self.cost_model),
-            },
-        }
-
     def _streams(self) -> dict:
         # genetics and cost jitter: a new cost model never moves genetics
         return {"gene": self._worker_rngs, "jitter": self._jitter_rngs}
 
-    def restore_state(self, payload: dict) -> None:
-        """Adopt a :meth:`capture_state` payload; next ``run`` resumes it."""
-        self._restore_streams(payload["rng_streams"])
-        progress = payload.get("progress")
-        if progress is not None and progress.get("contention") != self.contention:
-            raise ValueError(
-                f"checkpoint was taken with contention="
-                f"{progress.get('contention')!r}, engine has {self.contention!r}"
-            )
-        self._resume = None if progress is None else {
-            **progress,
-            "eval_counts": [int(e) for e in progress["evals"]],
-            "gen_counts": [int(g) for g in progress["gens"]],
+    def _schedule_state(self) -> dict:
+        """Once a run started (clocks re-zero at every fresh ``run``):
+        its contention policy, the per-thread clocks and sweep positions
+        and the policy's state."""
+        if self._clocks is None:
+            return {}
+        return {
+            "contention": self.contention,
+            "clocks": list(self._clocks),
+            "positions": list(self._positions),
+            **self._policy.state(),
         }
 
     # ------------------------------------------------------------------
@@ -170,8 +143,14 @@ class SimulatedPACGA(PartitionedEngine):
         boundaries; ``max_evaluations`` caps the total exactly.  A
         thread that meets a bound, or finds the run halted, leaves the
         schedule.  History rows go to the skeleton's list, one every
-        ``history_stride`` block completions.
+        ``history_stride`` block completions.  A resumed schedule must
+        have been captured under the engine's contention policy.
         """
+        if resume is not None and resume.get("contention") != self.contention:
+            raise ValueError(
+                f"checkpoint was taken with contention="
+                f"{resume.get('contention')!r}, engine has {self.contention!r}"
+            )
         cfg, stop = self.config, budget.stop
         n = cfg.n_threads
         ls_depth = cfg.ls_iterations * cfg.p_ls if cfg.local_search else 0.0

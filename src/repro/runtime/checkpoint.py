@@ -9,24 +9,30 @@ right workload loader:
 
 * ``config`` is a real dictionary (validated field-by-field on
   restore, not by string comparison);
-* ``rng_streams`` holds the bit-generator state of every stream the
-  engine owns (one for the sequential engines, one per logical thread
-  plus jitter streams for the simulator);
-* ``progress`` carries the engine-specific resume payload
-  (counters, history, and for the simulator the full virtual-time
-  scheduler state), so a resumed run continues the identical stochastic
-  trajectory *and* reports the same cumulative counters as an
-  uninterrupted run;
 * ``stop`` optionally embeds the run's :class:`StopCondition` so
-  ``repro resume <ckpt>`` needs no further arguments.
+  ``repro resume <ckpt>`` needs no further arguments;
+* the rest is the engine's payload, one shape for every engine
+  (:meth:`~repro.parallel.partitioned.PartitionedEngine.capture_state`):
+  ``rng_streams`` maps a stream key to the bit-generator states of its
+  streams (``workers``: one per block; the simulator's ``gene`` and
+  ``jitter``), ``progress`` holds the per-worker ``eval_counts`` and
+  ``gen_counts``, the ``history`` rows and ``best_seen`` (plus the
+  simulator's clocks, sweep positions and contention-policy state), and
+  ``engine_options`` the values of the registry spec's
+  ``extra_kwargs``, which :func:`resume_engine` passes back to the
+  constructor.  A resumed run thus continues the identical stochastic
+  trajectory, fires the same hooks and reports the same cumulative
+  counters as an uninterrupted run.
 
-Snapshots are taken at generation/sweep boundaries only (the engines'
-natural quiescent points — see :func:`run_with_checkpoints`), and every
-value is JSON: PCG64 states are plain integers and Python's float
-round-trip via ``repr`` is exact, so resume is bit-exact by
-construction.  v2 files load with the problem defaulted to the
-independent workload they predate; v1 files are rejected, since nothing
-writes them any more.
+This module is the one place that knows the on-disk shapes: v3 files
+written before the payload was shared are normalized on restore
+(:func:`_engine_payload`).  Snapshots are taken at generation/sweep
+boundaries only (the engines' natural quiescent points — see
+:func:`run_with_checkpoints`), and every value is JSON: PCG64 states
+are plain integers and Python's float round-trip via ``repr`` is exact,
+so resume is bit-exact by construction.  v2 files load with the problem
+defaulted to the independent workload they predate; v1 files are
+rejected, since nothing writes them any more.
 """
 
 from __future__ import annotations
@@ -201,12 +207,37 @@ def restore_state(engine, state: dict) -> None:
         )
     pop = state["population"]
     _restore_population(engine, pop["s"], pop["ct"], pop["fitness"])
-    engine.restore_state(
-        {
-            "rng_streams": state["rng_streams"],
-            "progress": state.get("progress"),
-        }
-    )
+    engine.restore_state(_engine_payload(state))
+
+
+#: progress counters of payloads written before every engine shared one:
+#: the sequential engines' scalars and the simulator's lists
+_OLD_COUNTERS = {
+    "evaluations": "eval_counts",
+    "generations": "gen_counts",
+    "evals": "eval_counts",
+    "gens": "gen_counts",
+}
+
+
+def _engine_payload(state: dict) -> dict:
+    """The engine payload of ``state`` in the shape ``restore_state``
+    reads.  Earlier v3 files are normalized: the sequential engines'
+    single ``rng_streams.main`` state and scalar
+    ``evaluations``/``generations``, the simulator's ``evals``/``gens``,
+    and the threads/shm progress without ``history`` or ``best_seen``
+    (then taken from the restored population, as those files did)."""
+    streams = state["rng_streams"]
+    if "main" in streams:
+        streams = {"workers": [streams["main"]]}
+    progress = state.get("progress")
+    if progress is not None:
+        progress = {"history": [], "best_seen": None, **progress}
+        for old, new in _OLD_COUNTERS.items():
+            if old in progress:
+                count = progress.pop(old)
+                progress[new] = count if isinstance(count, list) else [count]
+    return {"rng_streams": streams, "progress": progress}
 
 
 # ---------------------------------------------------------------------------

@@ -56,17 +56,16 @@ class EngineSpec:
         single-stream engines (accepts a Generator, int or
         SeedSequence), ``"seed"`` for the multi-stream ones (spawns a
         seed tree).
-    threaded:
-        Whether ``config.n_threads`` maps to real workers (CLI keeps
-        ``n_threads=1`` for the others).
     batch:
         Whether the engine breeds through the problem's batch-kernel
         suite (``repro.kernels.resolve_batch_ops``); such engines only
         run problems whose :class:`repro.problems.SchedulingProblem`
         publishes batch kernels.
     extra_kwargs:
-        Constructor keywords beyond the common four that the engine
-        accepts (used to filter pass-through options).
+        Constructor keywords beyond the common ones (instance, config,
+        seed, ``obs``, ``hooks``) that the engine accepts, each also an
+        engine attribute: pass-through options are filtered by them,
+        and a checkpoint's ``engine_options`` records their values.
     """
 
     name: str
@@ -76,7 +75,6 @@ class EngineSpec:
     aliases: tuple[str, ...] = ()
     parallelism: str = "sequential"
     seed_param: str = "rng"
-    threaded: bool = False
     batch: bool = False
     extra_kwargs: tuple[str, ...] = field(default=())
 
@@ -90,12 +88,15 @@ class EngineSpec:
         """Import and return the engine class."""
         return getattr(import_module(self.module), self.qualname)
 
-    def create(self, instance, config=None, seed=None, obs=None, **kwargs) -> Any:
+    def create(
+        self, instance, config=None, seed=None, obs=None, hooks=None, **kwargs
+    ) -> Any:
         """Construct the engine with the registry's seeding convention.
 
-        ``kwargs`` not in :attr:`extra_kwargs` are rejected with a
-        ``TypeError`` before the class is even imported, so callers get
-        uniform errors regardless of the engine's signature.
+        ``obs`` and ``hooks`` go to every engine; ``kwargs`` not in
+        :attr:`extra_kwargs` are rejected with a ``TypeError`` before
+        the class is even imported, so callers get uniform errors
+        regardless of the engine's signature.
         """
         unknown = sorted(set(kwargs) - set(self.extra_kwargs))
         if unknown:
@@ -105,7 +106,7 @@ class EngineSpec:
             )
         cls = self.load()
         kwargs[self.seed_param] = seed
-        return cls(instance, config, obs=obs, **kwargs)
+        return cls(instance, config, obs=obs, hooks=hooks, **kwargs)
 
 
 #: canonical name -> spec, in registration order (drives CLI listings).
@@ -181,7 +182,7 @@ register_engine(
         qualname="AsyncCGA",
         summary="canonical asynchronous CGA (Algorithm 1, fixed line sweep)",
         seed_param="rng",
-        extra_kwargs=("record_history", "hooks"),
+        extra_kwargs=("record_history",),
     )
 )
 register_engine(
@@ -191,7 +192,7 @@ register_engine(
         qualname="SyncCGA",
         summary="synchronous CGA (auxiliary population, one swap per generation)",
         seed_param="rng",
-        extra_kwargs=("record_history", "hooks"),
+        extra_kwargs=("record_history",),
     )
 )
 register_engine(
@@ -202,7 +203,7 @@ register_engine(
         summary="synchronous CGA over whole-population NumPy batch kernels",
         seed_param="rng",
         batch=True,
-        extra_kwargs=("record_history", "hooks"),
+        extra_kwargs=("record_history",),
     )
 )
 register_engine(
@@ -214,7 +215,6 @@ register_engine(
         aliases=("pacga-sim",),
         parallelism="simulated",
         seed_param="seed",
-        threaded=True,
         extra_kwargs=("cost_model", "history_stride", "contention"),
     )
 )
@@ -227,8 +227,7 @@ register_engine(
         aliases=("pacga-threads",),
         parallelism="threads",
         seed_param="seed",
-        threaded=True,
-        extra_kwargs=("hooks", "lockstep"),
+        extra_kwargs=("lockstep",),
     )
 )
 register_engine(
@@ -241,8 +240,7 @@ register_engine(
         aliases=("pacga-shm",),
         parallelism="processes",
         seed_param="seed",
-        threaded=True,
         batch=True,
-        extra_kwargs=("hooks", "lockstep", "stall_kill_s"),
+        extra_kwargs=("lockstep", "stall_kill_s"),
     )
 )

@@ -132,7 +132,7 @@ def validate_job(payload: dict) -> dict:
         config = CGAConfig(problem=problem.name, **overrides)
     except (TypeError, ValueError) as exc:
         raise JobValidationError(f"invalid config overrides: {exc}") from None
-    if not spec.threaded and config.n_threads != 1:
+    if spec.parallelism == "sequential" and config.n_threads != 1:
         raise JobValidationError(
             f"engine {spec.name!r} is single-stream; 'n_threads' must be 1"
         )

@@ -86,7 +86,7 @@ def _build_engine(task: dict, instance, ckpt: Path):
     engine_spec = resolve_engine(spec["engine"])
     config = CGAConfig(problem=spec["problem"], **spec["config"])
     extras = {}
-    if engine_spec.name in ("threads", "shm"):
+    if "lockstep" in engine_spec.extra_kwargs:
         # only the deterministic lockstep schedule quiesces at sweep
         # boundaries, which checkpoint durability requires
         extras["lockstep"] = True

@@ -117,14 +117,24 @@ class TestNoDrift:
         assert len(result.proportions) >= 2
 
 
-#: every registered engine that takes lifecycle hooks
-HOOKED_ENGINES = [s.name for s in ENGINE_SPECS.values() if "hooks" in s.extra_kwargs]
+#: every registered engine takes lifecycle hooks, a common keyword
+HOOKED_ENGINES = engine_names()
 
 
 class TestHooksKeyword:
     def test_no_engine_takes_on_generation(self):
         for spec in ENGINE_SPECS.values():
             assert "on_generation" not in spec.extra_kwargs, spec.name
+
+    @pytest.mark.parametrize("name", HOOKED_ENGINES)
+    def test_create_passes_hooks_to_every_engine(self, name, tiny_instance):
+        """``hooks`` is common, like ``obs``: no spec lists it, and
+        ``create`` hands the object itself to every engine."""
+        assert "hooks" not in ENGINE_SPECS[name].extra_kwargs
+        hooks = EngineHooks()
+        cfg = CGAConfig(grid_rows=4, grid_cols=4, seed_with_minmin=False)
+        eng = create_engine(name, tiny_instance, cfg, seed=0, hooks=hooks)
+        assert eng.hooks is hooks
 
     @pytest.mark.parametrize("name", HOOKED_ENGINES)
     def test_on_stop_fires_once_with_result(self, name, tiny_instance):
@@ -134,7 +144,7 @@ class TestHooksKeyword:
             grid_cols=4,
             ls_iterations=1,
             seed_with_minmin=False,
-            n_threads=2 if spec.threaded else 1,
+            n_threads=2 if spec.parallelism != "sequential" else 1,
         )
         extras = {"lockstep": True} if "lockstep" in spec.extra_kwargs else {}
         stopped = []

@@ -7,6 +7,7 @@ checkpoint to a bit-identical final result.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from repro.runtime import (
     capture_state,
     create_engine,
     engine_names,
+    load_state,
     resolve_engine,
     resume_engine,
     run_with_checkpoints,
 )
+
+DATA = Path(__file__).parent / "data"
 
 CFG = CGAConfig(
     grid_rows=8,
@@ -55,7 +59,7 @@ LIVE_CASES = ALL_ENGINES
 
 
 def _make(name, instance, seed=3, config=CFG, **extras):
-    if resolve_engine(name).name in ("threads", "shm"):
+    if "lockstep" in resolve_engine(name).extra_kwargs:
         extras.setdefault("lockstep", True)
     return create_engine(name, instance, config, seed=seed, **extras)
 
@@ -290,6 +294,36 @@ class TestResumeContract:
         assert res.generations == straight.generations
         assert res.history == straight.history
 
+    @pytest.mark.parametrize("name", ALL_ENGINES)
+    def test_resume_fires_the_straight_runs_improvements(self, name, small_instance):
+        """The best fitness ``on_improvement`` compares against is part
+        of the checkpoint: under ``replacement="always"`` the population
+        best also worsens, and a resumed run fires (and counts) exactly
+        the improvements the straight run made after the snapshot."""
+        cfg = CFG.with_(replacement="always")
+        stop = StopCondition(max_generations=60)
+        straight_eng = _make(name, small_instance, config=cfg)
+        straight_seen, snap = [], {}
+        straight_eng.hooks.on_improvement = lambda e, g, ev, best: straight_seen.append(
+            (g, ev, best)
+        )
+
+        def keep_first(eng):
+            if not snap:
+                snap.update(capture_state(eng, stop=stop))
+
+        straight_eng.arm_checkpoint(40, keep_first)
+        straight_eng.run(stop)
+        assert snap["progress"]["best_seen"] is not None
+
+        obs = Observer(out=None)
+        resumed_eng, embedded = resume_engine(snap, instance=small_instance, obs=obs)
+        seen = []
+        resumed_eng.hooks.on_improvement = lambda e, g, ev, best: seen.append((g, ev, best))
+        resumed_eng.run(embedded)
+        assert seen == [row for row in straight_seen if row[0] > 40]
+        assert obs.registry.merged().counters.get("improvements", 0) == len(seen)
+
     def test_registry_resume_cases_cover_every_checkpointable_engine(self):
         assert {name for name, _ in RESUME_CASES} == set(engine_names())
 
@@ -305,6 +339,40 @@ class TestResumeContract:
         eng = create_engine("threads", small_instance, CFG, seed=1)
         with pytest.raises(ValueError, match="lockstep"):
             eng.arm_checkpoint(1, lambda e: None)
+
+
+class TestPartitionedCheckpointFixtures:
+    """``data/{threads,shm}_v3.json``: lockstep v3 checkpoints written
+    before every engine shared one payload (tiny instance, 4x4 grid, two
+    workers, seed 5, ``max_generations=6``), taken after generation 3;
+    their ``progress`` holds only the worker counters."""
+
+    CFG = CGAConfig(
+        grid_rows=4, grid_cols=4, ls_iterations=2, seed_with_minmin=False, n_threads=2
+    )
+    #: the uninterrupted run's best fitness, as the writing commit saw it
+    BEST = {"threads": 1595976.9869108242, "shm": 1595976.9869108237}
+
+    @pytest.mark.parametrize("name", ["threads", "shm"])
+    def test_payload_shape(self, name):
+        state = load_state(DATA / f"{name}_v3.json")
+        assert (state["format_version"], state["engine"]) == (3, name)
+        assert set(state["rng_streams"]) == {"workers"}
+        assert state["progress"] == {"eval_counts": [24, 24], "gen_counts": [3, 3]}
+        assert state["engine_options"] == {"lockstep": True}
+
+    @pytest.mark.parametrize("name", ["threads", "shm"])
+    def test_resumes_to_the_uninterrupted_run(self, name, tiny_instance):
+        engine, stop = resume_engine(DATA / f"{name}_v3.json", instance=tiny_instance)
+        assert stop == StopCondition(max_generations=6)
+        res = engine.run(stop)
+        straight_eng = _make(name, tiny_instance, seed=5, config=self.CFG)
+        straight = straight_eng.run(stop)
+        assert res.extra["per_thread_evaluations"] == [48, 48]
+        assert (res.evaluations, res.generations) == (96, 6)
+        assert res.best_fitness == straight.best_fitness == self.BEST[name]
+        assert np.array_equal(engine.pop.s, straight_eng.pop.s)
+        assert np.array_equal(engine.pop.fitness, straight_eng.pop.fitness)
 
 
 class TestLiveRuntimeContract:

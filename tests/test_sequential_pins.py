@@ -66,7 +66,7 @@ def test_resumed_run_repeats_no_improvement_and_no_history_row(name, small_insta
 
     eng.arm_checkpoint(3, keep_first)
     straight = eng.run(stop)
-    assert snap["progress"]["generations"] == 3
+    assert snap["progress"]["gen_counts"] == [3]
 
     resumed_eng, embedded = resume_engine(snap, instance=small_instance)
     seen = []
@@ -75,6 +75,26 @@ def test_resumed_run_repeats_no_improvement_and_no_history_row(name, small_insta
     assert seen == [row for row in straight_seen if row[0] > 3]
     assert resumed.history == straight.history
     assert len({row[0] for row in resumed.history}) == len(resumed.history) == 9
+
+
+@pytest.mark.parametrize("name", SEQUENTIAL)
+def test_resume_keeps_history_recording_off(name, small_instance):
+    """``record_history=False`` is an engine option the checkpoint
+    replays: the resumed run records no history rows either."""
+    stop = StopCondition(max_generations=5)
+    snap = {}
+    eng = create_engine(name, small_instance, CFG, seed=3, record_history=False)
+
+    def keep_first(engine):
+        if not snap:
+            snap.update(capture_state(engine, stop=stop))
+
+    eng.arm_checkpoint(2, keep_first)
+    assert eng.run(stop).history == []
+    resumed_eng, embedded = resume_engine(snap, instance=small_instance)
+    assert resumed_eng.record_history is False
+    resumed = resumed_eng.run(embedded)
+    assert (resumed.generations, resumed.history) == (5, [])
 
 
 class TestAsyncCheckpointFixture:

@@ -317,3 +317,11 @@ class TestTrackedCheckpointFixture:
         )
         straight.run(stop)
         assert pop_digest(straight.pop) == pop_digest(engine.pop)
+
+    def test_resuming_under_another_policy_is_refused(self, tiny_instance):
+        engine, stop = resume_engine(
+            DATA / "sim_tracked_v3.json", instance=tiny_instance,
+            engine_kwargs={"contention": "meanfield"},
+        )
+        with pytest.raises(ValueError, match="contention='tracked'"):
+            engine.run(stop)
