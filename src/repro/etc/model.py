@@ -194,8 +194,8 @@ class ETCMatrix:
             and bool(np.array_equal(self.ready_times, other.ready_times))
         )
 
-    def __hash__(self) -> int:  # frozen dataclass with arrays: hash by identity-ish digest
-        return hash((self.name, self.etc.shape, float(self.etc.sum())))
+    def __hash__(self) -> int:  # content digest; like __eq__, ignores the name
+        return hash((self.etc.shape, float(self.etc.sum())))
 
     def __repr__(self) -> str:
         label = self.name or "<unnamed>"

@@ -30,12 +30,20 @@ Operator analogs keep the paper's canonical names so one
   sweeps;
 * seeding — NEH (Nawaz–Enscore–Ham 1983) replaces Min-min as the
   constructive heuristic planted at position 0.
+
+The batch DP tables take the dtype of :attr:`FlowShopInstance.pT`:
+int32 when every time is an integer and ``2·Σp < 2**31``, float64
+otherwise.  Every table cell is a lattice-path length, at most ``Σp``,
+and an insertion's ``f + q`` is at most ``2·Σp``, so the int32 tables
+are exact and the float64 results they return are bit-identical to a
+float64 DP, at half the memory traffic.  The scalar :func:`flowshop_ct`
+always runs in float64.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +87,11 @@ class FlowShopInstance:
 
     p: np.ndarray
     name: str = ""
+    #: ``(m, njobs)`` times in the batch DP's table dtype, and the same
+    #: with its machines reversed appended as ``njobs`` more columns
+    #: (the stack :func:`insertion_makespans` runs heads and tails on)
+    pT: np.ndarray = field(init=False, repr=False)
+    pT_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.ascontiguousarray(self.p, dtype=np.float64)
@@ -89,6 +102,13 @@ class FlowShopInstance:
         if not np.all(np.isfinite(p)) or np.any(p <= 0):
             raise ValueError("processing times must be finite and strictly positive")
         object.__setattr__(self, "p", p)
+        # a DP path crosses each job at most once, so no table cell exceeds
+        # sum(p) and no insertion's f + q exceeds 2 * sum(p): integral
+        # times under that bound run exactly in int32
+        exact = np.array_equal(p, np.rint(p)) and 2.0 * float(p.sum()) < 2.0**31
+        pT = np.ascontiguousarray(p.T, dtype=np.int32 if exact else np.float64)
+        object.__setattr__(self, "pT", pT)
+        object.__setattr__(self, "pT_stack", np.hstack([pT, pT[::-1]]))
 
     # engine-facing geometry: genome length and aux-row width
     @property
@@ -122,7 +142,8 @@ class FlowShopInstance:
         return self.p.shape == other.p.shape and bool(np.array_equal(self.p, other.p))
 
     def __hash__(self) -> int:
-        return hash((self.name, self.p.shape, float(self.p.sum())))
+        # content only, like __eq__: equal instances under two names hash alike
+        return hash((self.p.shape, float(self.p.sum())))
 
     def __repr__(self) -> str:
         label = self.name or "<unnamed>"
@@ -247,11 +268,13 @@ def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     machine ``k``.  A diagonal's cells are independent and contiguous, and
     ``V[d, 1:] += max(V[d-1, 1:], V[d-1, :-1])`` gives each the same
     ``max``-then-``+`` on the same operands as a cell-by-cell sweep, so the
-    table is bit-identical to it for any float times.
+    table is bit-identical to it for any float times.  The table takes
+    ``pT``'s dtype: an int32 ``pT`` whose path sums fit (see
+    :class:`FlowShopInstance`) gives the same values exactly.
     """
     m = pT.shape[0]
     P, N = R.shape
-    V = np.zeros((lead + N + m - 1, m, P), dtype=np.float64)
+    V = np.zeros((lead + N + m - 1, m, P), dtype=pT.dtype)
     d, k, r = V.strides
     cells = as_strided(V[lead], (m, N, P), (d + k, d, r))  # (k, i) -> V[i + k, k]
     # one intp index for every machine: a gather converts any other index
@@ -262,7 +285,7 @@ def _dp_table(pT: np.ndarray, R: np.ndarray, lead: int) -> np.ndarray:
     for row, out in zip(pT, cells):
         out[...] = row[idx]
     np.cumsum(V[:, 0], axis=0, out=V[:, 0])
-    step = np.empty((m - 1, P), dtype=np.float64)
+    step = np.empty((m - 1, P), dtype=V.dtype)
     for prev, cur in zip(V[:-1], V[1:]):
         np.maximum(prev[1:], prev[:-1], out=step)
         cur[1:] += step
@@ -273,12 +296,13 @@ def batch_flowshop_ct(instance: FlowShopInstance, S: np.ndarray) -> np.ndarray:
     """CT rows for a whole ``(P, njobs)`` permutation matrix.
 
     The DP table is evaluated by anti-diagonals (:func:`_dp_table`) in
-    ``n + m - 1`` vector steps per block of up to ``_CT_BLOCK`` rows,
-    bit-identical to the cell-by-cell recurrence of :func:`flowshop_ct`.
+    ``n + m - 1`` vector steps per block of up to ``_CT_BLOCK`` rows, in
+    the instance's table dtype; the float64 result is bit-identical to
+    the cell-by-cell recurrence of :func:`flowshop_ct`.
     """
     S = np.asarray(S)
     P, n = S.shape
-    pT = np.ascontiguousarray(instance.p.T)
+    pT = instance.pT
     k = np.arange(pT.shape[0])
     CT = np.empty((P, k.size))
     for c in range(0, P, _CT_BLOCK):  # one block's table alive at a time
@@ -324,25 +348,26 @@ def insertion_makespans(
     makespan at position ``i`` as ``max_k(f[i, k] + q[i, k])`` — all
     n + 1 insertions in one O(n·m) pass instead of n DP sweeps.  ``e`` and
     ``q`` share one anti-diagonal table (:func:`_dp_table`) and ``f`` folds
-    into a running max over machines: bit-identical to a cell-by-cell pass.
+    into a running max over machines, all in the instance's table dtype:
+    the float64 result is bit-identical to a cell-by-cell pass.
     """
     R = np.asarray(R)
     P, L = R.shape
-    pT = np.ascontiguousarray(instance.p.T)
+    pT = instance.pT
     m, n = pT.shape
     # one table holds both: columns P: run on the reversed input
-    eq = _dp_table(np.hstack([pT, pT[::-1]]), np.vstack([R, R[:, ::-1] + n]), 1)
+    eq = _dp_table(instance.pT_stack, np.vstack([R, R[:, ::-1] + n]), 1)
     e, q = eq[..., :P], eq[..., P:]
     pj = pT[:, jobs]
     # times are positive, so starting f and the max at zero is exact
-    f, ms, fq = np.zeros((3, L + 1, P))  # fq: f + q, reused per machine
+    f, ms, fq = np.zeros((3, L + 1, P), pT.dtype)  # fq: f + q, reused per machine
     for k in range(m):
         np.maximum(f, e[k : k + L + 1, k], out=f)
         f += pj[k]
         r = m - 1 - k  # q holds machine k of position i at [r + L - i, r]
         np.add(f, q[r : r + L + 1, r][::-1], out=fq)
         np.maximum(ms, fq, out=ms)
-    return ms.T
+    return np.asarray(ms.T, dtype=np.float64)
 
 
 def _delete_positions(S: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -114,6 +114,12 @@ class TestEquality:
         b = ETCMatrix(mat([[1, 2]]), name="y")
         assert a == b  # name does not affect equality
 
+    def test_equal_matrices_hash_alike_under_any_name(self):
+        a = ETCMatrix(mat([[1, 2]]), name="x")
+        b = ETCMatrix(mat([[1, 2]]), name="y")
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_unequal_values(self):
         assert ETCMatrix(mat([[1, 2]])) != ETCMatrix(mat([[1, 3]]))
 

@@ -147,6 +147,7 @@ class TestAntiDiagonalKernel:
 
     def test_out_of_range_job_raises(self, rng):
         inst = _kernel_instance(9, 4, True)
+        assert inst.pT.dtype == np.int32  # the int32 path checks its indices too
         S = rng.permuted(np.tile(np.arange(9, dtype=np.int32), (3, 1)), axis=1)
         S[1, 4] = 9
         with pytest.raises(IndexError):
@@ -154,8 +155,9 @@ class TestAntiDiagonalKernel:
         with pytest.raises(IndexError):
             insertion_makespans(inst, S[:, 1:], S[:, 0])
 
-    def test_index_dtype_and_layout_do_not_matter(self, rng):
-        inst = _kernel_instance(9, 4, False)
+    @pytest.mark.parametrize("integer", [True, False], ids=["integral", "float"])
+    def test_index_dtype_and_layout_do_not_matter(self, integer, rng):
+        inst = _kernel_instance(9, 4, integer)
         S = rng.permuted(np.tile(np.arange(9, dtype=np.int32), (6, 1)), axis=1)
         jobs = S[:, 0]
         flip = np.ascontiguousarray(S[:, ::-1])
@@ -168,6 +170,62 @@ class TestAntiDiagonalKernel:
             assert np.array_equal(batch_flowshop_ct(inst, T[:, ::-1]), ct_flip)
             assert np.array_equal(insertion_makespans(inst, T[:, 1:], jobs), ms)
             assert np.array_equal(insertion_makespans(inst, T[:, :0:-1], jobs), ms_flip)
+
+
+def _times_summing_to(total, n=6, m=3):
+    """Integral ``(n, m)`` times, the largest cell first, summing to ``total``."""
+    p = np.ones((n, m))
+    p[0, 0] = total - (n * m - 1)
+    return p
+
+
+class TestTableDtype:
+    """Integral instances run the batch DP in int32, exactly; others in float64."""
+
+    def test_integral_instance_gets_int32(self):
+        inst = make_flowshop(9, 4, seed=1)
+        assert inst.pT.dtype == inst.pT_stack.dtype == np.int32
+        assert inst.p.dtype == np.float64
+
+    def test_one_fractional_time_gets_float64(self):
+        p = make_flowshop(9, 4, seed=1).p.copy()
+        p[3, 2] += 0.5
+        assert FlowShopInstance(p).pT.dtype == np.float64
+
+    def test_int32_bound_is_twice_the_total(self):
+        assert FlowShopInstance(_times_summing_to(2**30 - 1)).pT.dtype == np.int32
+        assert FlowShopInstance(_times_summing_to(2**30)).pT.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_flowshop(9, 4, seed=1).p,
+            make_flowshop(9, 4, seed=1).p + np.eye(9, 4) * 0.25,
+            # integral, the largest total that runs in int32
+            _times_summing_to(2**30 - 1),
+            # integral, just past the int32 bound
+            _times_summing_to(2**30),
+        ],
+        ids=["int32", "fractional", "int32-at-bound", "integral-past-bound"],
+    )
+    def test_every_table_dtype_is_exact_and_returns_float64(self, p, rng):
+        inst = FlowShopInstance(p)
+        n = inst.njobs
+        S = np.stack([rng.permutation(n).astype(np.int32) for _ in range(5)])
+        S[0] = np.arange(n)  # the big job first: the longest paths
+        CT = batch_flowshop_ct(inst, S)
+        assert CT.dtype == np.float64
+        assert np.array_equal(CT, _ref_batch_ct(inst.p, S))
+        for r in range(len(S)):
+            assert np.array_equal(CT[r], flowshop_ct(inst, S[r]))
+        R, jobs = S[:, 1:], S[:, 0]
+        ms = insertion_makespans(inst, R, jobs)
+        assert ms.dtype == np.float64
+        assert np.array_equal(ms, _ref_insertion_makespans(inst.p, R, jobs))
+        for r in range(len(S)):
+            for i in range(n):
+                full = np.insert(R[r], i, jobs[r]).astype(np.int32)
+                assert ms[r, i] == flowshop_ct(inst, full)[-1]
 
 
 class TestBatchOxFill:

@@ -136,3 +136,23 @@ class TestSeedCache:
             disable_seed_cache()
         assert np.array_equal(uncached.pop.s, first.pop.s)
         assert np.array_equal(first.pop.s, second.pop.s)
+
+    def test_equal_content_under_another_name_hits(self):
+        from repro.problems.flowshop import FlowShopInstance
+        from repro.runtime.context import disable_seed_cache, enable_seed_cache
+
+        a, _ = self._flowshop_pair_sharing_a_name()
+        renamed = FlowShopInstance(a.p.copy(), name="renamed")
+        assert a == renamed and hash(a) == hash(renamed)
+        assert len({a, renamed}) == 1
+        cfg = CGAConfig(
+            problem="flowshop", grid_rows=4, grid_cols=4, seed_with_minmin=True
+        )
+        try:
+            cache = enable_seed_cache()
+            first = build_context(a, cfg, rng=0)
+            second = build_context(renamed, cfg, rng=0)
+            assert cache.stats() == dict(cache.stats(), hits=1, misses=1)
+        finally:
+            disable_seed_cache()
+        assert np.array_equal(first.pop.s, second.pop.s)
